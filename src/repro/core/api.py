@@ -6,7 +6,7 @@
 variant   meaning (paper Section 5.1)
 ========  =====================================================
 base      Algorithm 1 serial peeling (driver-side Python)
-single    Paral dataflow at parallelism 1 (the 1-thread run)
+single    Paral at parallelism 1 (the 1-thread run)
 paral     synchronous parallel framework (Algorithm 2)
 asyn      Paral + asynchronous (chromatic) update
 paral+    Asyn + Lemma-4 frontier pruning (all optimizations)
@@ -19,6 +19,8 @@ a DataFrame; its sweep count is reported as 0 — peeling has no sweeps).
 """
 import pandas as pd
 from pyspark.sql import SparkSession
+
+from repro.graph.edges import edge_array
 
 from .baseline import baseline_decompose
 from .paral import DecomposeResult, parallel_decompose
@@ -57,7 +59,7 @@ def decompose(
         # Wall-clock config of "all optimizations" under BSP: frontier
         # pruning (Lemma 4) on synchronous sweeps. The asynchronous
         # optimization is chromatic blocks here, and each extra block is
-        # an extra dataflow round per sweep — on a BSP engine the round
+        # an extra Spark job per sweep — on a BSP engine the round
         # overhead exceeds the sweep reduction it buys, so Paral+ keeps
         # one block and Asyn (4 blocks) carries the iteration-count
         # experiment of Figure 6. Deviation documented in DESIGN.md §3.
@@ -66,9 +68,5 @@ def decompose(
 
 
 def _as_edge_list(edges):
-    """Normalize any accepted edge input to a list of int pairs."""
-    if hasattr(edges, "toPandas"):
-        edges = edges.toPandas()
-    if isinstance(edges, pd.DataFrame):
-        return [tuple(map(int, r)) for r in edges.iloc[:, :2].to_numpy()]
-    return [(int(u), int(v)) for u, v in edges]
+    """Any accepted edge input as a canonical list of int pairs."""
+    return [tuple(e) for e in edge_array(edges).tolist()]

@@ -5,6 +5,12 @@ paper's pseudocode becomes set-at-a-time dataflow: one bottleneck-path
 dynamic program shared by *all* sources at once (instead of one BFS per
 edge endpoint), and one window aggregation computing every edge's
 H-index in a single shuffle.
+
+The decomposition path does not use them: ``repro.core.paral`` runs the
+numpy kernel of ``repro.core.kernel`` inside Spark tasks instead. They
+stay as dataflow references of the same two kernels, tested against
+``repro.pyref``, like ``repro.graph.hops`` and ``repro.graph.triads``
+for the h-support.
 """
 from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F

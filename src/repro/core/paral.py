@@ -3,53 +3,44 @@
 One function, four paper variants (DESIGN.md §3):
 
 * **Paral**   — ``parallel_decompose(spark, edges, h)``: synchronous
-  sweeps; every sweep recomputes ``H^(n)`` for all edges from the
-  ``H^(n-1)`` snapshot until nothing changes (Theorems 1-2 guarantee
+  (Jacobi) sweeps; every sweep recomputes ``H^(n)`` for all edges from
+  the ``H^(n-1)`` snapshot until nothing changes (Theorems 1-2 guarantee
   monotone convergence to ``t(e,h) - 2``).
-* **Single**  — ``parallelism=1``: identical dataflow, one partition /
-  one shuffle partition, so exactly one task runs at a time — the paper's
-  one-thread configuration.
-* **Asyn**    — ``asynchronous=True``: 2-block chromatic (Gauss–Seidel)
-  sweeps; the low-initial-support half updates first, the second half
-  reads its *fresh* values within the same sweep (substitution 2 —
-  the BSP rendering of the paper's asynchronous update; §4.1 proves any
-  such mixed schedule still converges to the same fixpoint).
-* **Paral+**  — ``asynchronous=True, pruning=True``: adds the Lemma-4
-  redundant-computation pruning as frontier pruning: an edge is
-  recomputed only if some edge value decreased last sweep within its
-  h-hop influence zone; the path-key DP is likewise restricted to the
-  frontier's sources (substitution 3 — a conservative superset of the
-  lemma's trigger set, so results are unchanged). The frontier itself is
-  expanded driver-side (a BFS over the in-memory adjacency — the edge
-  list is small; the *per-edge support work* is what needs the cluster),
-  and when it still covers most of the graph the restriction is bypassed
-  so early sweeps don't pay restriction-join overhead for zero savings.
+* **Single**  — ``parallelism=1``: the same jobs over one partition, so
+  one task runs at a time — the paper's one-thread configuration.
+* **Asyn**    — ``asynchronous=True``: chromatic (Gauss–Seidel) sweeps.
+  The edges are split into ``n_blocks`` (default 4) blocks by ascending
+  initial h-support, and each block reads the values the blocks before
+  it wrote in the same sweep (substitution 2 — the BSP rendering of the
+  paper's asynchronous update; §4.1 proves any such mixed schedule still
+  converges to the same fixpoint).
+* **Paral+**  — ``pruning=True``: Lemma-4 pruning as a frontier. An edge
+  is recomputed only if it has an endpoint within ``h`` hops of an
+  endpoint of an edge whose value dropped in the previous sweep
+  (substitution 3 — a conservative superset of the lemma's trigger set,
+  so values and sweep counts are unchanged). ``repro.core.api`` runs it
+  on synchronous sweeps.
 
-The heavy relations (adjacency, h-hop pairs, Δ-triads) live in Spark and
-every sweep's support recomputation is pure DataFrame dataflow. The
-*iteration state*, however — one ``(eid, hval)`` pair per edge — is tiny,
-so each sweep round-trips it through the driver and re-enters the next
-sweep as a fresh Arrow-backed local relation. This is deliberate and
-load-bearing: chaining sweeps through ``localCheckpoint`` makes
-Catalyst's size-only stats estimator multiply the checkpoint's inherited
-``sizeInBytes`` through every join, the estimates compound exponentially
-across sweeps, and by sweep ~13 the driver stalls for minutes in
-million-digit ``BigInt`` multiplications. A local relation re-enters with
-exact, tiny stats every sweep, and the convergence test becomes a free
-pandas comparison instead of an extra Spark job.
+Each call collects the canonical edge list on the driver, relabels the
+vertices densely to ``0..n-1`` and broadcasts their CSR adjacency once.
+Every pass is then one Spark job: ``mapInPandas`` over
+``spark.range(m, numPartitions=parallelism)``, in which each task runs
+:func:`repro.core.kernel.sweep` — the bounded bottleneck BFS and ℋ of
+Algorithm 3 — for its range of edge ids, reading the H vector broadcast
+for that pass. Pass 0 runs the kernel with every H-value unbounded,
+which yields the h-support ``H^(0)``. The H vector lives on the driver
+between passes; an edge mask (an Asyn block, the Paral+ frontier)
+selects the edges a pass recomputes.
 """
 from dataclasses import dataclass, field
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 
-from repro.graph.edges import adjacency_df, edges_df
-from repro.graph.hops import hop_pairs_df
-from repro.graph.triads import h_support_df, triads_df
+from repro.graph.edges import edge_array
 
-from .hindex import h_index_agg, path_keys
+from .kernel import UNBOUNDED, build_csr, frontier_mask, sweep
 
 
 @dataclass
@@ -61,6 +52,9 @@ class DecomposeResult:
     trussness: DataFrame
     sweeps: int
     trace: list[pd.DataFrame] = field(default_factory=list)
+
+
+_RESULT_SCHEMA = "src long, dst long, trussness long"
 
 
 def parallel_decompose(
@@ -76,193 +70,96 @@ def parallel_decompose(
     n_blocks: int = 4,
 ) -> DecomposeResult:
     """Compute the h-trussness of every edge (columns
-    ``src, dst, trussness``) with the selected variant."""
-    restore = None
-    if parallelism is not None:
-        restore = spark.conf.get("spark.sql.shuffle.partitions")
-        spark.conf.set("spark.sql.shuffle.partitions", str(parallelism))
+    ``src, dst, trussness``) with the selected variant.
+
+    ``parallelism`` is the number of edge partitions, one task each;
+    ``None`` means ``sparkContext.defaultParallelism``.
+    """
+    if h < 1:
+        raise ValueError(f"h must be >= 1, got {h}")
+    pairs = edge_array(edges)
+    if not len(pairs):
+        return DecomposeResult(spark.createDataFrame([], _RESULT_SCHEMA), 0)
+    vertex_ids, dense = np.unique(pairs, return_inverse=True)
+    dense = dense.reshape(-1, 2)
+    csr = build_csr(dense[:, 0], dense[:, 1], len(vertex_ids))
+    m = csr.m
+    sc = spark.sparkContext
+    edge_ids = spark.range(m, numPartitions=parallelism or sc.defaultParallelism)
+    graph = sc.broadcast(csr)
+
+    def run(hval, mask=None):
+        """One kernel pass: ``(eids, new values)`` of the masked edges."""
+        shared = sc.broadcast((hval, mask))
+
+        def task(batches):
+            ids = [b["id"].to_numpy() for b in batches]
+            if not ids:
+                return
+            ids = np.concatenate(ids)
+            hv, mk = shared.value
+            if mk is not None:
+                ids = ids[mk[ids]]
+            yield pd.DataFrame({"eid": ids, "hval": sweep(graph.value, hv, ids, h)})
+
+        try:
+            pdf = edge_ids.mapInPandas(task, "eid long, hval long").toPandas()
+        finally:
+            shared.destroy()
+        return pdf["eid"].to_numpy(), pdf["hval"].to_numpy()
+
     try:
-        return _run(
-            spark,
-            edges,
-            h,
-            asynchronous=asynchronous,
-            pruning=pruning,
-            parallelism=parallelism,
-            trace=trace,
-            max_sweeps=max_sweeps,
-            n_blocks=n_blocks,
-        )
+        # Lines 1-3: H^(0) = h-support.
+        eids, sup = run(np.full(m, UNBOUNDED, dtype=np.int64))
+        state = np.empty(m, dtype=np.int64)
+        state[eids] = sup
+
+        # Asynchronous (chromatic) schedule: blocks in ascending initial
+        # support, so decreases propagate in peeling order within a sweep.
+        blocks = [None]  # synchronous: one block of every edge
+        if asynchronous:
+            order = np.argsort(state, kind="stable")
+            blocks = []
+            for part in np.array_split(order, max(1, n_blocks)):
+                if len(part):
+                    block = np.zeros(m, dtype=bool)
+                    block[part] = True
+                    blocks.append(block)
+
+        traces = [_trace_frame(pairs, state)] if trace else []
+        frontier = None  # Paral+: edges near last sweep's drops
+        sweeps = 0
+        for _ in range(max_sweeps):
+            drops = [np.empty(0, dtype=np.int64)]
+            for block in blocks:
+                mask = block
+                if frontier is not None:
+                    mask = frontier if block is None else block & frontier
+                    if not mask.any():
+                        continue
+                eids, new = run(state, mask)
+                drops.append(eids[new < state[eids]])
+                state[eids] = new
+            dropped = np.concatenate(drops)
+            sweeps += 1
+            if trace:
+                traces.append(_trace_frame(pairs, state))
+            if not len(dropped):
+                break
+            if pruning:
+                ends = np.concatenate([csr.src[dropped], csr.dst[dropped]])
+                frontier = frontier_mask(csr, ends, h)
+        else:  # pragma: no cover - safety net
+            raise RuntimeError("parallel decomposition did not converge")
     finally:
-        if restore is not None:
-            spark.conf.set("spark.sql.shuffle.partitions", restore)
+        graph.destroy()
+
+    out = pd.DataFrame({"src": pairs[:, 0], "dst": pairs[:, 1],
+                        "trussness": state + 2})
+    return DecomposeResult(spark.createDataFrame(out, _RESULT_SCHEMA), sweeps, traces)
 
 
-def _state_df(spark: SparkSession, eids, hvals) -> DataFrame:
-    """Fresh local-relation snapshot of the iteration state."""
-    pdf = pd.DataFrame({"eid": np.asarray(eids, dtype=np.int64),
-                        "hval": np.asarray(hvals, dtype=np.int64)})
-    return spark.createDataFrame(pdf, schema="eid long, hval long")
-
-
-def _eids_df(spark: SparkSession, eids) -> DataFrame:
-    return spark.createDataFrame(
-        pd.DataFrame({"eid": np.asarray(eids, dtype=np.int64)}),
-        schema="eid long",
-    )
-
-
-def _run(spark, edges, h, *, asynchronous, pruning, parallelism, trace,
-         max_sweeps, n_blocks):
-    e = edges_df(spark, edges)
-    if parallelism is not None:
-        e = e.repartition(parallelism)
-    e = e.persist()
-    if not e.take(1):
-        empty = e.select("src", "dst", F.lit(2).alias("trussness"))
-        return DecomposeResult(empty, 0)
-
-    adj = adjacency_df(e).persist()
-    hops = hop_pairs_df(e, h).persist()
-    triads = triads_df(e, hops).persist()
-    triads.count()
-
-    # Lines 1-3: H^(0) = h-support. The state lives in pandas between
-    # sweeps (eid-indexed Series), in Spark within a sweep.
-    sup_pdf = (
-        h_support_df(e, hops).toPandas().sort_values("eid").reset_index(drop=True)
-    )
-    state = sup_pdf.set_index("eid")["support"].astype("int64")
-
-    # Asynchronous (chromatic) schedule: quantile blocks processed in
-    # ascending initial-support order, so decreases propagate in peeling
-    # order within a sweep — later blocks read earlier blocks' fresh
-    # values, the BSP rendering of the shared-memory asynchronous update.
-    if asynchronous:
-        order = np.argsort(state.values, kind="stable")
-        block_eids = [
-            state.index.to_numpy()[part]
-            for part in np.array_split(order, max(1, n_blocks))
-            if len(part)
-        ]
-    else:
-        block_eids = [None]  # one full-coverage block
-
-    # Driver-side structures for the pruning frontier: adjacency of the
-    # (small) edge list and per-edge endpoint arrays aligned with `state`.
-    if pruning:
-        adj_py: dict[int, list[int]] = {}
-        for s, d in zip(sup_pdf["src"].to_numpy(), sup_pdf["dst"].to_numpy()):
-            adj_py.setdefault(int(s), []).append(int(d))
-            adj_py.setdefault(int(d), []).append(int(s))
-        eid_arr = state.index.to_numpy()
-        src_arr = (eid_arr >> 32).astype(np.int64)
-        dst_arr = (eid_arr & 0xFFFFFFFF).astype(np.int64)
-
-    changed_vertices = None  # ndarray of endpoints that dropped last sweep
-    traces = []
-    if trace:
-        traces.append(_trace_frame(sup_pdf, state))
-
-    sweeps = 0
-    for _ in range(max_sweeps):
-        changed_total = 0
-        new_changed = []
-        active_eids = None  # None = no pruning restriction this sweep
-        if pruning and changed_vertices is not None:
-            # Frontier: vertices within h hops of a changed endpoint.
-            # Expanded here on the driver — BFS over a <=100k-edge
-            # adjacency is microseconds-to-milliseconds, far below the
-            # cost of one extra Spark join. Restriction is applied only
-            # when it actually shrinks the sweep (adaptive bypass).
-            frontier = set(int(v) for v in changed_vertices)
-            layer = frontier
-            for _hop in range(h):
-                layer = {
-                    w for v in layer for w in adj_py.get(v, ()) if w not in frontier
-                }
-                frontier |= layer
-            fr = np.fromiter(frontier, dtype=np.int64, count=len(frontier))
-            mask = np.isin(src_arr, fr) | np.isin(dst_arr, fr)
-            if mask.sum() < 0.5 * len(eid_arr):
-                active_eids = eid_arr[mask]
-
-        for eids in block_eids:
-            if eids is not None and active_eids is not None:
-                eids = np.intersect1d(eids, active_eids)
-                if not len(eids):
-                    continue
-            elif eids is None and active_eids is not None:
-                eids = active_eids
-            full = eids is None
-            # Target edge set for this block update, as dataflow.
-            target = e.select("eid", "src", "dst")
-            if eids is not None:
-                target = target.join(_eids_df(spark, eids), on="eid")
-
-            hcur = _state_df(spark, state.index, state.values)
-            adj_val = adj.join(hcur, on="eid").select("a", "b", "hval")
-            if full:
-                sources = None  # every vertex is a source anyway
-                block_triads = triads
-            else:
-                sources = (
-                    target.select(F.col("src").alias("a"))
-                    .unionByName(target.select(F.col("dst").alias("a")))
-                    .distinct()
-                )
-                block_triads = triads.join(target.select("eid"), on="eid")
-            p = path_keys(adj_val, h, sources=sources)
-            vals = (
-                block_triads.join(
-                    p.select(F.col("a").alias("src"), "w", F.col("pkey").alias("p_src")),
-                    on=["src", "w"],
-                )
-                .join(
-                    p.select(F.col("a").alias("dst"), "w", F.col("pkey").alias("p_dst")),
-                    on=["dst", "w"],
-                )
-                .select("eid", F.least("p_src", "p_dst").alias("value"))
-            )
-            hnew = (
-                target.select("eid")
-                .join(h_index_agg(vals), on="eid", how="left")
-                .select("eid", F.coalesce("hindex", F.lit(0)).alias("hval_new"))
-            )
-            upd = hnew.toPandas().set_index("eid")["hval_new"].astype("int64")
-
-            old = state.loc[upd.index]
-            dropped = upd.index[(upd < old).to_numpy()]
-            changed_total += len(dropped)
-            state.loc[upd.index] = upd
-            if pruning and len(dropped):
-                arr = dropped.to_numpy()
-                new_changed.append(arr >> 32)
-                new_changed.append(arr & 0xFFFFFFFF)
-        sweeps += 1
-        if trace:
-            traces.append(_trace_frame(sup_pdf, state))
-        if pruning:
-            changed_vertices = (
-                np.unique(np.concatenate(new_changed))
-                if new_changed
-                else np.empty(0, dtype=np.int64)
-            )
-        if changed_total == 0:
-            break
-    else:  # pragma: no cover - safety net
-        raise RuntimeError("parallel decomposition did not converge")
-
-    out = sup_pdf[["src", "dst"]].copy()
-    out["trussness"] = (state.loc[sup_pdf["eid"]].to_numpy() + 2).astype("int64")
-    result = spark.createDataFrame(out, schema="src long, dst long, trussness long")
-    for df in (e, adj, hops, triads):
-        df.unpersist()
-    return DecomposeResult(result, sweeps, traces)
-
-
-def _trace_frame(sup_pdf: pd.DataFrame, state: pd.Series) -> pd.DataFrame:
+def _trace_frame(pairs: np.ndarray, state: np.ndarray) -> pd.DataFrame:
     """Per-edge H values of the current sweep (trace mode, Figure 3)."""
-    frame = sup_pdf[["src", "dst"]].copy()
-    frame["hval"] = state.loc[sup_pdf["eid"]].to_numpy()
-    return frame.sort_values(["src", "dst"]).reset_index(drop=True)
+    return pd.DataFrame({"src": pairs[:, 0], "dst": pairs[:, 1],
+                         "hval": state.copy()})

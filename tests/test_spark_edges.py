@@ -38,6 +38,13 @@ class TestEdgesDf:
         with pytest.raises(ValueError, match="32 bits"):
             edges_df(sparkf, [(0, 1 << 33)])
 
+    def test_rejects_oversized_vertices_spark(self, sparkf):
+        """(1, 2**32 + 5) would pack to the eid of (2, 5)."""
+        raw = sparkf.createDataFrame([(1, 2**32 + 5), (2, 5)], "u long, v long")
+        df = edges_df(sparkf, raw)
+        with pytest.raises(Exception, match="32 bits"):
+            df.collect()
+
 
 class TestAdjacencyDf:
     @pytest.mark.parametrize("name", ["triangle", "toy", "petersen", "dirty"])

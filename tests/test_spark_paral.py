@@ -8,6 +8,7 @@ import pandas as pd
 import pytest
 
 from repro.core.paral import parallel_decompose
+from repro.graphgen import dataset_edges
 from repro.oracle import assert_equivalent
 from repro.pyref import all_h_supports, decompose_peeling, serial_hindex_decompose
 
@@ -45,6 +46,15 @@ class TestParalCorrectness:
         res = parallel_decompose(sparkf, [], 2)
         assert res.trussness.count() == 0
         assert res.sweeps == 0
+
+    def test_spark_input_beyond_32_bit_ids(self, sparkf):
+        """Packed as ``src << 32 | dst``, (1, 2**32 + 5) and (2, 5) would
+        share an edge id."""
+        big = 2**32 + 5
+        edges = [(1, big), (2, 5), (1, 2), (2, big), (5, big), (1, 5)]
+        raw = sparkf.createDataFrame(edges, "u long, v long")
+        res = parallel_decompose(sparkf, raw, 2, parallelism=2)
+        assert _as_dict(res.trussness) == decompose_peeling(edges, 2)
 
     def test_zero_support_edges_get_trussness_2(self, sparkf):
         res = parallel_decompose(sparkf, SMALL_GRAPHS["single_edge"], 2, parallelism=2)
@@ -141,3 +151,20 @@ class TestSweepsAndTrace:
     def test_last_two_trace_frames_equal(self, toy_paral):
         a, b = toy_paral.trace[-2], toy_paral.trace[-1]
         assert a.equals(b)
+
+
+class TestBenchScale:
+    """Paral and Paral+ against the serial synchronous oracle on the
+    2,227-edge power-law YT stand-in at h=2."""
+
+    @pytest.fixture(scope="class")
+    def yt(self):
+        edges = dataset_edges("YT")
+        return edges, serial_hindex_decompose(edges.tolist(), 2)
+
+    @pytest.mark.parametrize("pruning", [False, True])
+    def test_matches_serial(self, sparkf, yt, pruning):
+        edges, (expected, ref_sweeps) = yt
+        res = parallel_decompose(sparkf, edges, 2, pruning=pruning, parallelism=4)
+        assert _as_dict(res.trussness) == expected
+        assert res.sweeps == ref_sweeps
