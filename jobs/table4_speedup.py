@@ -1,7 +1,9 @@
 """T4 — paper Figure 5: Paral speedup versus parallelism.
 
 Parallelism plays the paper's thread-count role (DESIGN.md
-substitution 1); the 1-partition run is the paper's **Single**.
+substitution 1); the 1-partition run is the paper's **Single**. A call
+runs at most ``defaultParallelism`` kernel tasks, so the table shows
+the worker count each requested parallelism ran with.
 
 Usage::
 
@@ -11,6 +13,7 @@ Usage::
 import argparse
 
 from repro.bench import markdown_table, run_speedup_cell
+from repro.core.paral import worker_count
 
 
 def run(spark, datasets, h, parallelism_levels, scale=None) -> str:
@@ -22,9 +25,11 @@ def run(spark, datasets, h, parallelism_levels, scale=None) -> str:
             secs, _ = run_speedup_cell(spark, d, h, p, scale=scale)
             if base_t is None:
                 base_t = secs
-            rows.append([d, h, p, f"{secs:.2f}s", f"{base_t / secs:.2f}x"])
+            workers = worker_count(spark.sparkContext, p)
+            rows.append([d, h, p, workers, f"{secs:.2f}s", f"{base_t / secs:.2f}x"])
     return markdown_table(
-        ["dataset", "h", "parallelism", "time", "speedup vs Single"], rows
+        ["dataset", "h", "parallelism", "workers", "time", "speedup vs Single"],
+        rows,
     )
 
 

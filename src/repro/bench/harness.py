@@ -60,7 +60,8 @@ def run_efficiency_cell(
         res = baseline_decompose([tuple(e) for e in edges], h, budget_s=budget_s)
         return res.seconds, 0
     t0 = time.monotonic()
-    # parallelism=16 mirrors the paper's 20-thread default on our 16 cores.
+    # parallelism=16 mirrors the paper's 20-thread default; the call caps
+    # it at the session's task slots (parallel_decompose).
     res = decompose(spark, edges, h, variant=algorithm, parallelism=16)
     res.trussness.count()  # materialize — the decompose loop already ran eagerly
     return time.monotonic() - t0, res.sweeps

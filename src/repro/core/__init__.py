@@ -14,4 +14,4 @@
 """
 from .api import decompose  # noqa: F401
 from .baseline import INF, baseline_decompose  # noqa: F401
-from .paral import DecomposeResult, parallel_decompose  # noqa: F401
+from .paral import DecomposeResult, NotConvergedError, parallel_decompose  # noqa: F401

@@ -9,7 +9,7 @@ base      Algorithm 1 serial peeling (driver-side Python)
 single    Paral at parallelism 1 (the 1-thread run)
 paral     synchronous parallel framework (Algorithm 2)
 asyn      Paral + asynchronous (chromatic) update
-paral+    Asyn + Lemma-4 frontier pruning (all optimizations)
+paral+    Paral + Lemma-4 frontier pruning (paper: Asyn + pruning)
 ========  =====================================================
 
 Every variant returns a :class:`repro.core.paral.DecomposeResult` whose
@@ -56,13 +56,11 @@ def decompose(
     elif variant == "asyn":
         kwargs["asynchronous"] = True  # 4 chromatic blocks (default)
     elif variant == "paral+":
-        # Wall-clock config of "all optimizations" under BSP: frontier
-        # pruning (Lemma 4) on synchronous sweeps. The asynchronous
-        # optimization is chromatic blocks here, and each extra block is
-        # an extra Spark job per sweep — on a BSP engine the round
-        # overhead exceeds the sweep reduction it buys, so Paral+ keeps
-        # one block and Asyn (4 blocks) carries the iteration-count
-        # experiment of Figure 6. Deviation documented in DESIGN.md §3.
+        # Frontier pruning (Lemma 4) on synchronous sweeps; Asyn
+        # (4 chromatic blocks) carries the iteration-count experiment of
+        # Figure 6. The paper's Paral+ is Asyn + pruning: that waits on
+        # partition-local asynchrony in the kernel (ROADMAP, "Faithful
+        # asynchrony"). Deviation documented in DESIGN.md §3.
         kwargs.update(pruning=True)
     return parallel_decompose(spark, edges, h, **kwargs)
 

@@ -36,6 +36,11 @@ class TestTableJobs:
         assert "speedup vs Single" in out
         assert out.count("\n") == 3  # header + separator + 2 rows
 
+    def test_table4_records_worker_cap(self, sparkf):
+        slots = sparkf.sparkContext.defaultParallelism
+        out = table4_speedup.run(sparkf, ["YT"], 2, [slots + 1], scale=0.05)
+        assert f"| {slots + 1} | {slots} |" in out
+
     def test_table5_tiny(self, sparkf):
         out = table5_iterations.run(sparkf, ["YT"], [2], scale=0.05)
         assert "Asyn (chromatic)" in out and "Asyn (per-edge)" in out

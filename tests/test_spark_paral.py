@@ -4,19 +4,74 @@ Every variant must produce exactly the peeling trussness (Theorem 2);
 traces must be monotone (Theorem 1); Asyn must not need more sweeps than
 Paral (§4.3); results are also pushed through the DuckDB oracle.
 """
+import gc
+import os
+import threading
+from contextlib import contextmanager
+
 import pandas as pd
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.core.paral import parallel_decompose
+from repro.core import paral
+from repro.core.paral import NotConvergedError, parallel_decompose
 from repro.graphgen import dataset_edges
 from repro.oracle import assert_equivalent
-from repro.pyref import all_h_supports, decompose_peeling, serial_hindex_decompose
+from repro.pyref import (
+    all_h_supports, canonical_edges, decompose_peeling, serial_hindex_decompose,
+)
 
 from .graph_catalog import SMALL_GRAPHS, random_graph
+
+# A call on a graph of a few dozen edges takes about a second; a barrier
+# stage that waits for task slots it will never get, or a driver that
+# waits on tasks that have failed, takes minutes.
+PROMPT_S = 60
 
 
 def _as_dict(result_df):
     return {(r.src, r.dst): r.trussness for r in result_df.collect()}
+
+
+def _open_sockets() -> int:
+    gc.collect()
+    count = 0
+    for fd in os.listdir("/proc/self/fd"):
+        try:
+            count += os.readlink(f"/proc/self/fd/{fd}").startswith("socket:")
+        except OSError:  # the fd of the listing itself
+            pass
+    return count
+
+
+@contextmanager
+def _no_leftovers():
+    """Assert the block leaves no thread or socket behind."""
+    threads, sockets = set(threading.enumerate()), _open_sockets()
+    yield
+    assert set(threading.enumerate()) == threads
+    assert _open_sockets() == sockets
+
+
+def _within(seconds, fn, *args, **kwargs):
+    """``fn(*args, **kwargs)``, failing the test if it neither returns
+    nor raises within ``seconds``."""
+    out = {}
+
+    def target():
+        try:
+            out["value"] = fn(*args, **kwargs)
+        except Exception as exc:
+            out["error"] = exc
+
+    thread = threading.Thread(target=target, daemon=True)
+    thread.start()
+    thread.join(seconds)
+    assert not thread.is_alive(), f"no return within {seconds} s"
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
 
 
 @pytest.fixture(scope="module")
@@ -106,6 +161,12 @@ class TestVariants:
         res = parallel_decompose(sparkf, edges, 2, parallelism=1)
         assert _as_dict(res.trussness) == decompose_peeling(edges, 2)
 
+    def test_parallelism_above_task_slots(self, sparkf):
+        """16 tasks on a 4-slot master: capped, not waiting for slots."""
+        edges = random_graph(0)
+        res = _within(PROMPT_S, parallel_decompose, sparkf, edges, 2, parallelism=16)
+        assert _as_dict(res.trussness) == decompose_peeling(edges, 2)
+
     def test_parallelism_restores_conf(self, sparkf):
         before = sparkf.conf.get("spark.sql.shuffle.partitions")
         parallel_decompose(sparkf, SMALL_GRAPHS["triangle"], 1, parallelism=2)
@@ -168,3 +229,100 @@ class TestBenchScale:
         res = parallel_decompose(sparkf, edges, 2, pruning=pruning, parallelism=4)
         assert _as_dict(res.trussness) == expected
         assert res.sweeps == ref_sweeps
+
+
+class TestKernelWorkers:
+    """The call's one Spark job: its job group, failures and teardown."""
+
+    TOY = SMALL_GRAPHS["toy"]
+
+    def _assert_toy_right(self, sparkf):
+        res = parallel_decompose(sparkf, self.TOY, 2, parallelism=4)
+        assert _as_dict(res.trussness) == decompose_peeling(self.TOY, 2)
+
+    def test_one_job_in_callers_group(self, sparkf):
+        """Pass 0 and 4 sweeps run as message rounds of a single job, which
+        the caller's job group covers."""
+        sc = sparkf.sparkContext
+        sc.setJobGroup("paral-test-group", "one call")
+        try:
+            res = parallel_decompose(sparkf, self.TOY, 2, parallelism=4)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert res.sweeps == 4
+        assert len(sc.statusTracker().getJobIdsForGroup("paral-test-group")) == 1
+
+    def test_no_leftovers_after_success(self, sparkf):
+        self._assert_toy_right(sparkf)  # warm: the session's own sockets exist
+        with _no_leftovers():
+            self._assert_toy_right(sparkf)
+
+    @pytest.mark.parametrize("where", ["sweep", "Client"])
+    def test_worker_failure_raises_promptly(self, sparkf, monkeypatch, where):
+        """A task that fails in a round (``sweep``) or before it connects
+        (``Client``) fails the call; the next call is unaffected."""
+        self._assert_toy_right(sparkf)
+
+        def broken(*args, **kwargs):
+            raise ValueError("injected task failure")
+
+        monkeypatch.setattr(paral, where, broken)
+        with _no_leftovers(), pytest.raises(Exception, match="injected task failure"):
+            _within(PROMPT_S, parallel_decompose, sparkf, self.TOY, 2, parallelism=4)
+        monkeypatch.undo()
+        self._assert_toy_right(sparkf)
+
+    def test_unauthenticated_connection_is_dropped(self, sparkf, monkeypatch):
+        """Every task first connects with a wrong key; the driver drops
+        those connections and keeps accepting."""
+        real = paral.Client
+
+        def wrong_key_first(address, authkey):
+            from multiprocessing import AuthenticationError
+
+            try:
+                real(address, authkey=b"not the key")
+            except AuthenticationError:
+                pass
+            return real(address, authkey=authkey)
+
+        monkeypatch.setattr(paral, "Client", wrong_key_first)
+        self._assert_toy_right(sparkf)
+
+    def test_not_converged(self, sparkf):
+        """The toy graph at h=2 needs 4 sweeps."""
+        self._assert_toy_right(sparkf)
+        with _no_leftovers(), pytest.raises(NotConvergedError) as err:
+            parallel_decompose(sparkf, self.TOY, 2, parallelism=4, max_sweeps=1)
+        assert err.value.sweeps == 1
+        assert err.value.changed > 0
+        self._assert_toy_right(sparkf)
+
+
+_GRAPHS = st.lists(
+    st.tuples(st.integers(0, 11), st.integers(0, 11)), min_size=1, max_size=30
+).map(canonical_edges)
+
+
+class TestProperties:
+    """Theorems 1-2 on random graphs of at most 12 vertices."""
+
+    @settings(max_examples=10, deadline=None)
+    @given(edges=_GRAPHS, h=st.integers(1, 3))
+    def test_variants_match_peeling(self, sparkf, edges, h):
+        expected = decompose_peeling(edges, h)
+        for kwargs in (
+            {},
+            {"asynchronous": True},
+            {"pruning": True},
+            {"asynchronous": True, "pruning": True},
+        ):
+            res = parallel_decompose(sparkf, edges, h, parallelism=4, **kwargs)
+            assert _as_dict(res.trussness) == expected, f"variant {kwargs}"
+
+    @settings(max_examples=10, deadline=None)
+    @given(edges=_GRAPHS, h=st.integers(1, 3))
+    def test_trace_is_monotone(self, sparkf, edges, h):
+        frames = parallel_decompose(sparkf, edges, h, parallelism=4, trace=True).trace
+        for a, b in zip(frames, frames[1:]):
+            assert (b.hval <= a.hval).all()
