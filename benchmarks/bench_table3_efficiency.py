@@ -6,8 +6,8 @@ the three datasets whose stand-ins are h=3-tractable on a 16-core local
 Spark); `jobs/table3_efficiency.py` regenerates any cell, and the full
 paper-vs-measured table lives in EXPERIMENTS.md.
 
-Base runs under the paper's INF convention (budget here: 120 s per
-cell); a timed-out Base cell is *reported* INF, not failed.
+Base runs under the paper's INF convention (budget here: ``BUDGET_S`` =
+100 s per cell); a timed-out Base cell is *reported* INF, not failed.
 """
 import pytest
 

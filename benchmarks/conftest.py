@@ -2,15 +2,7 @@
 
 Benchmarks use the session SparkSession at its default shuffle-partition
 setting (the provided root conftest picks 64 so shuffle paths are
-genuinely exercised); nothing to lower here. One shared budget constant
-keeps the Base/INF convention consistent across tables.
+genuinely exercised); nothing to lower here. The only Base budget is
+``BUDGET_S`` in ``bench_table3_efficiency.py``, the one table that runs
+Base.
 """
-import pytest
-
-BASE_BUDGET_S = 300.0
-
-
-@pytest.fixture(scope="session")
-def base_budget():
-    """Wall-clock budget for Base runs (paper: 4 days; here: 300 s)."""
-    return BASE_BUDGET_S

@@ -9,7 +9,7 @@ base      Algorithm 1 serial peeling (driver-side Python)
 single    Paral at parallelism 1 (the 1-thread run)
 paral     synchronous parallel framework (Algorithm 2)
 asyn      Paral + asynchronous (chromatic) update
-paral+    Paral + Lemma-4 frontier pruning (paper: Asyn + pruning)
+paral+    Paral + Lemma-4 pruning (paper: Asyn + pruning)
 ========  =====================================================
 
 Every variant returns a :class:`repro.core.paral.DecomposeResult` whose
@@ -54,9 +54,9 @@ def decompose(
     if variant == "single":
         kwargs["parallelism"] = 1
     elif variant == "asyn":
-        kwargs["asynchronous"] = True  # 4 chromatic blocks (default)
+        kwargs["asynchronous"] = True  # 4 chromatic blocks
     elif variant == "paral+":
-        # Frontier pruning (Lemma 4) on synchronous sweeps; Asyn
+        # Lemma-4 pruning on synchronous sweeps; Asyn
         # (4 chromatic blocks) carries the iteration-count experiment of
         # Figure 6. The paper's Paral+ is Asyn + pruning: that waits on
         # partition-local asynchrony in the kernel (ROADMAP, "Faithful

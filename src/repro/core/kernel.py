@@ -17,8 +17,9 @@ Vertices are dense ids ``0..n-1`` and edges dense ids ``0..m-1``. With
 every H-value at :data:`UNBOUNDED`, ``ℋ`` of ``|Δ(e)|`` copies of it is
 ``|Δ(e)|``, so the same call computes the h-support ``H^(0)``.
 
-Nothing here touches Spark; ``repro.core.paral`` runs :func:`sweep` in
-one Spark task per partition of the edge ids.
+Nothing here touches Spark. ``repro.core.paral`` runs :func:`sweep` in
+its Spark tasks, each on one chunk of a pass's edge ids, and
+:func:`frontier_mask`, Paral+'s Lemma-4 pruning, on the driver.
 """
 from dataclasses import dataclass
 
@@ -160,15 +161,42 @@ def sweep(csr: Csr, hval: np.ndarray, eids: np.ndarray, h: int) -> np.ndarray:
     return h_index(values, edge[found], k)
 
 
-def frontier_mask(csr: Csr, vertices: np.ndarray, h: int) -> np.ndarray:
-    """Boolean edge mask: edges with an endpoint within ``h`` hops of
-    ``vertices``."""
-    seen = np.zeros(csr.n, dtype=bool)
-    layer = np.unique(np.asarray(vertices, dtype=np.int64))
-    seen[layer] = True
-    for _ in range(h):
-        _, j = _rows(csr.indptr, layer)
-        layer = np.unique(csr.nbr[j])
-        layer = layer[~seen[layer]]
-        seen[layer] = True
-    return seen[csr.src] | seen[csr.dst]
+def frontier_mask(csr: Csr, old: np.ndarray, new: np.ndarray, h: int) -> np.ndarray:
+    """Boolean edge mask of Paral+'s frontier after a sweep took the H
+    vector from ``old`` to ``new`` (both finite): the edges Lemma 4 says
+    the next sweep may lower.
+
+    Edge ``e`` is in it when some edge ``d`` dropped across its value,
+    ``new[d] < new[e] <= old[d]``, and an endpoint of ``d`` lies within
+    ``h - 1`` hops of an endpoint of ``e``. ``new[e]`` falls only if a
+    path key it counted falls below ``new[e]``, and a key falls only
+    through such an edge ``d`` on its walk of at most ``h`` edges from
+    ``e``'s endpoint; so every edge outside the mask keeps its value.
+    """
+    dropped = np.flatnonzero(new < old)
+    if not len(dropped):
+        return np.zeros(csr.m, dtype=bool)
+    n = np.int64(csr.n)
+    # code = i * n + x: vertex x is within h - 1 hops of dropped[i].
+    ends = np.concatenate([csr.src[dropped], csr.dst[dropped]])
+    code = np.unique(np.tile(np.arange(len(dropped)), 2) * n + ends)
+    layer = code
+    for _ in range(h - 1):
+        i, j = _rows(csr.indptr, layer % n)
+        layer = np.setdiff1d(layer[i] - layer[i] % n + csr.nbr[j], code)
+        code = np.union1d(code, layer)
+    # Each code puts the interval (new[d], old[d]] at vertex x. Sorted by
+    # (x, new[d]), the running maximum of (x, old[d]) answers "does an
+    # interval at y contain t?" for a query (y, t) by one binary search.
+    x, d = code % n, dropped[code // n]
+    top = old.max() + 1  # above every H-value: x * top + value orders by x
+    key = x * top + new[d]
+    order = np.argsort(key)
+    key, reach = key[order], np.maximum.accumulate((x * top + old[d])[order])
+
+    def crossed(y):
+        query = y * top + new
+        last = np.searchsorted(key, query) - 1  # last (x, new[d]) < (y, t)
+        return (last >= 0) & (reach[last] >= query)
+
+    return crossed(csr.src) | crossed(csr.dst)

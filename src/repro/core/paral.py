@@ -9,35 +9,35 @@ One function, four paper variants (DESIGN.md §3):
 * **Single**  — ``parallelism=1``: the same rounds with one kernel
   task — the paper's one-thread configuration.
 * **Asyn**    — ``asynchronous=True``: chromatic (Gauss–Seidel) sweeps.
-  The edges are split into ``n_blocks`` (default 4) blocks by ascending
-  initial h-support, and each block reads the values the blocks before
-  it wrote in the same sweep (substitution 2 — the BSP rendering of the
-  paper's asynchronous update; §4.1 proves any such mixed schedule still
-  converges to the same fixpoint).
-* **Paral+**  — ``pruning=True``: Lemma-4 pruning as a frontier. An edge
-  is recomputed only if it has an endpoint within ``h`` hops of an
-  endpoint of an edge whose value dropped in the previous sweep
-  (substitution 3 — a conservative superset of the lemma's trigger set,
-  so values and sweep counts are unchanged). ``repro.core.api`` runs it
-  on synchronous sweeps.
+  The edges are split into 4 blocks by ascending initial h-support, and
+  each block reads the values the blocks before it wrote in the same
+  sweep (substitution 2 — the BSP rendering of the paper's asynchronous
+  update; §4.1 proves any such mixed schedule still converges to the
+  same fixpoint).
+* **Paral+**  — ``pruning=True``: Lemma 4. A sweep recomputes only the
+  edges that a drop in the sweep before crossed
+  (:func:`~repro.core.kernel.frontier_mask`, substitution 3); the others
+  would keep their values. ``repro.core.api`` runs it on synchronous
+  sweeps.
 
 Each call collects the canonical edge list on the driver, relabels the
-vertices densely to ``0..n-1`` and broadcasts their CSR adjacency once.
-It then runs one Spark job for the whole decomposition: a barrier stage
-of ``k`` long-lived tasks, each owning a contiguous range of edge ids,
-which connect back to a listener on the driver. Every pass is one
-message round with them: the driver sends the H vector and an edge mask
-(an Asyn block, the Paral+ frontier) to every task, and each task
-returns the new values of its masked edges, computed by
-:func:`repro.core.kernel.sweep` — the bounded bottleneck BFS and ℋ of
-Algorithm 3. Pass 0 runs the kernel with every H-value unbounded, which
-yields the h-support ``H^(0)``. The H vector lives on the driver between
-passes, as the paper's threads share it in memory.
+vertices densely to ``0..n-1`` and builds their CSR adjacency. It then
+runs one Spark job for the whole decomposition: a barrier stage of
+``k`` long-lived, stateless kernel tasks, which connect back to a
+listener on the driver and receive the CSR over that connection. Every
+pass (pass 0, a sweep, an Asyn block) is one message round: the driver
+splits the pass's edge ids into one contiguous chunk per task, sends
+each task the H vector and its chunk, and gets back the chunk's new
+values, computed by :func:`~repro.core.kernel.sweep` — Algorithm 3.
+Pass 0 runs the kernel with every H-value unbounded, which yields the
+h-support ``H^(0)``. The H vector lives on the driver between passes,
+as the paper's threads share it in memory.
 """
 import os
 import secrets
 import socket
 import threading
+import time
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from multiprocessing import AuthenticationError
@@ -54,29 +54,40 @@ from .kernel import UNBOUNDED, Csr, build_csr, frontier_mask, sweep
 
 
 @dataclass
+class SweepStats:
+    """One sweep: edges recomputed, edges whose H-value dropped, seconds."""
+
+    recomputed: int
+    dropped: int
+    seconds: float
+
+
+@dataclass
 class DecomposeResult:
     """Decomposition output: the trussness table, the sweep count the
-    paper's Figure 6 reports, and (in trace mode) the per-sweep H-value
-    tables of Figure 3."""
+    paper's Figure 6 reports, (in trace mode) the per-sweep H-value
+    tables of Figure 3, and one :class:`SweepStats` per sweep."""
 
     trussness: DataFrame
     sweeps: int
     trace: list[pd.DataFrame] = field(default_factory=list)
+    stats: list[SweepStats] = field(default_factory=list)
 
 
 class NotConvergedError(RuntimeError):
     """``max_sweeps`` ran out before a sweep left every H-value as it was."""
 
-    def __init__(self, sweeps: int, changed: int):
+    def __init__(self, sweeps: int, last: SweepStats):
         super().__init__(
-            f"no fixpoint after {sweeps} sweeps; the last one changed "
-            f"{changed} edges"
+            f"no fixpoint after {sweeps} sweeps; the last one lowered "
+            f"{last.dropped} H-values"
         )
         self.sweeps = sweeps
-        self.changed = changed
+        self.last = last
 
 
 _RESULT_SCHEMA = "src long, dst long, trussness long"
+_ASYN_BLOCKS = 4  # Asyn's blocks per sweep
 
 # How often the driver, while it waits on the workers, checks whether
 # their Spark job has ended.
@@ -99,13 +110,12 @@ def parallel_decompose(
     parallelism: int | None = None,
     trace: bool = False,
     max_sweeps: int = 10_000,
-    n_blocks: int = 4,
 ) -> DecomposeResult:
     """Compute the h-trussness of every edge (columns
     ``src, dst, trussness``) with the selected variant.
 
-    ``parallelism`` is the number of kernel tasks, each owning a
-    contiguous range of edge ids; ``None`` means
+    ``parallelism`` is the number of kernel tasks, each computing one
+    contiguous chunk of every pass's edge ids; ``None`` means
     ``sparkContext.defaultParallelism``. The tasks form one barrier
     stage, which needs all of them running at once, so the count is
     capped at ``defaultParallelism`` (the task slots of a local master)
@@ -127,95 +137,83 @@ def parallel_decompose(
 
     with _kernel_workers(spark.sparkContext, csr, h, k) as run:
         # Lines 1-3: H^(0) = h-support.
-        eids, sup = run(np.full(m, UNBOUNDED, dtype=np.int64))
-        state = np.empty(m, dtype=np.int64)
-        state[eids] = sup
+        every = np.arange(m)
+        state = run(np.full(m, UNBOUNDED, dtype=np.int64), every)
 
         # Asynchronous (chromatic) schedule: blocks in ascending initial
         # support, so decreases propagate in peeling order within a sweep.
-        blocks = [None]  # synchronous: one block of every edge
+        blocks = [every]
         if asynchronous:
             order = np.argsort(state, kind="stable")
-            blocks = []
-            for part in np.array_split(order, max(1, n_blocks)):
-                if len(part):
-                    block = np.zeros(m, dtype=bool)
-                    block[part] = True
-                    blocks.append(block)
+            blocks = [np.sort(b) for b in np.array_split(order, _ASYN_BLOCKS)]
 
         traces = [_trace_frame(pairs, state)] if trace else []
-        frontier = None  # Paral+: edges near last sweep's drops
-        sweeps = 0
+        stats = []
+        frontier = None  # Paral+: the edges the last sweep's drops may lower
         for _ in range(max_sweeps):
-            drops = [np.empty(0, dtype=np.int64)]
-            for block in blocks:
-                mask = block
-                if frontier is not None:
-                    mask = frontier if block is None else block & frontier
-                    if not mask.any():
-                        continue
-                eids, new = run(state, mask)
-                drops.append(eids[new < state[eids]])
-                state[eids] = new
-            dropped = np.concatenate(drops)
-            sweeps += 1
+            start, old = time.perf_counter(), state.copy()
+            passes = [b if frontier is None else b[frontier[b]] for b in blocks]
+            for eids in passes:
+                if len(eids):
+                    state[eids] = run(state, eids)
+            dropped = int(np.count_nonzero(state < old))
+            if pruning:
+                frontier = frontier_mask(csr, old, state, h)
+            stats.append(SweepStats(sum(map(len, passes)), dropped,
+                                    time.perf_counter() - start))
             if trace:
                 traces.append(_trace_frame(pairs, state))
-            if not len(dropped):
+            if not dropped:
                 break
-            if pruning:
-                ends = np.concatenate([csr.src[dropped], csr.dst[dropped]])
-                frontier = frontier_mask(csr, ends, h)
         else:
-            raise NotConvergedError(sweeps, len(dropped))
+            raise NotConvergedError(len(stats), stats[-1])
 
-    out = pd.DataFrame({"src": pairs[:, 0], "dst": pairs[:, 1],
-                        "trussness": state + 2})
-    return DecomposeResult(spark.createDataFrame(out, _RESULT_SCHEMA), sweeps, traces)
+        # The tasks end while the driver builds the table.
+        run(None)
+        out = pd.DataFrame({"src": pairs[:, 0], "dst": pairs[:, 1],
+                            "trussness": state + 2})
+        table = spark.createDataFrame(out, _RESULT_SCHEMA)
+    return DecomposeResult(table, len(stats), traces, stats)
 
 
 @contextmanager
 def _kernel_workers(sc: SparkContext, csr: Csr, h: int, k: int):
-    """Run :func:`sweep` in ``k`` Spark tasks that live as long as the
-    ``with`` block.
+    """Run :func:`sweep` over ``csr`` in ``k`` stateless Spark tasks that
+    live as long as the ``with`` block.
 
-    Yields ``run(hval, mask=None)``, one message round: every task gets
-    the H vector and the edge mask (``None``: every edge), recomputes
-    its masked edges and sends back ``(eids, values)``; ``run`` returns
-    them concatenated. The tasks form one barrier job, launched from an
+    Yields ``run(hval, eids)``, one message round: task ``i`` gets the H
+    vector and the ``i``-th of ``k`` contiguous chunks of ``eids``, and
+    ``run`` returns their new values aligned to ``eids``. ``run(None)``
+    releases the tasks. The tasks form one barrier job, launched from an
     :class:`~pyspark.InheritableThread` so the caller's job group covers
-    it, and connect back to a listener on ``spark.driver.host`` that
-    admits only holders of a fresh per-call key. If the job fails, the
-    waiting driver raises its error. On leaving the block the tasks are
-    released (``None``) or, on an error, their connections closed, and
-    the listener and the job are gone when it returns.
+    it; they connect back to a listener on ``spark.driver.host`` that
+    admits only holders of a fresh per-call key, and receive the CSR. If
+    the job fails, the waiting driver raises its error. On leaving the
+    block the connections are closed (a task not yet released exits on
+    EOF), then the listener, and the job thread is joined.
     """
-    bounds = np.arange(k + 1) * csr.m // k
     # Both ends unpickle what they receive: only holders of this key may
     # connect.
     authkey = secrets.token_bytes(32)
-    graph = sc.broadcast(csr)
     listener = Listener((sc.getConf().get("spark.driver.host"), 0),
                         backlog=k, authkey=authkey)
     address = listener.address
 
-    def serve(index, _):
-        ids = np.arange(bounds[index], bounds[index + 1])
+    def serve(_):
         with Client(address, authkey=authkey) as conn, suppress(EOFError):
             _no_delay(conn)
+            graph = conn.recv()
             # EOF: the driver gave up on the call and closed the connection.
             while (msg := conn.recv()) is not None:
-                hval, mask = msg
-                mine = ids if mask is None else ids[mask[ids]]
-                conn.send((mine, sweep(graph.value, hval, mine, h)))
+                hval, eids = msg
+                conn.send(sweep(graph, hval, eids, h))
         return iter(())
 
     failure, done = [], threading.Event()
 
     def job():
         try:
-            sc.parallelize(range(k), k).barrier().mapPartitionsWithIndex(
-                serve).collect()
+            sc.parallelize(range(k), k).barrier().mapPartitions(serve).collect()
         except Exception as exc:
             failure.append(exc)
         finally:
@@ -241,25 +239,28 @@ def _kernel_workers(sc: SparkContext, csr: Csr, h: int, k: int):
             raise failure[0]
         raise RuntimeError("the kernel tasks exited before the call ended")
 
-    def run(hval, mask=None):
+    def send(msgs):
         try:
-            for conn in conns:
-                conn.send((hval, mask))
+            for conn, msg in zip(conns, msgs):
+                conn.send(msg)
         except OSError:
             lost()
-        replies, pending = [], list(conns)
-        while pending:
-            ready = wait(pending, timeout=_POLL_S)
+
+    def run(hval, eids=None):
+        if hval is None:
+            return send([None] * k)
+        send((hval, chunk) for chunk in np.array_split(eids, k))
+        replies = {}
+        while len(replies) < k:
+            ready = wait([c for c in conns if c not in replies], timeout=_POLL_S)
             if not ready and done.is_set():
                 lost()
             for conn in ready:
                 try:
-                    replies.append(conn.recv())
+                    replies[conn] = conn.recv()
                 except (EOFError, OSError):
                     lost()
-                pending.remove(conn)
-        eids, values = zip(*replies)
-        return np.concatenate(eids), np.concatenate(values)
+        return np.concatenate([replies[conn] for conn in conns])
 
     thread = InheritableThread(target=job, daemon=True)
     try:
@@ -271,12 +272,10 @@ def _kernel_workers(sc: SparkContext, csr: Csr, h: int, k: int):
                 pass  # not a kernel task, or the job's wake-up call: dropped
             if done.is_set():
                 lost()
+        send([csr] * k)
         yield run
-        for conn in conns:
-            conn.send(None)
     finally:
         close()
-        graph.destroy()
 
 
 def _no_delay(conn):

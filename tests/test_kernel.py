@@ -80,13 +80,27 @@ class TestAgainstReference:
         assert got == ref
 
     def test_frontier_mask(self, name, raw, h):
+        """Lemma 4 is sound: after a sweep lowers ``old`` to ``new``, one
+        more sweep leaves every edge outside the mask as it was. The mask
+        lies inside the h-hop frontier, the edges with an endpoint within
+        h hops of an endpoint of an edge the sweep lowered. Runs follow
+        the sweeps from the h-support and from random vectors above it
+        (any sweep's result is at most the h-support, so those lower too)."""
         g = Graph(raw)
         adj = adjacency(g.edges)
-        seeds = [g.edges[0][0], g.edges[-1][1]]
-        near = set(seeds).union(*(bfs_within(adj, s, h) for s in seeds))
-        dense = np.searchsorted(g.vertex_ids, seeds)
-        got = frontier_mask(g.csr, dense, h).tolist()
-        assert got == [u in near or v in near for u, v in g.edges]
+        every = np.arange(len(g.edges))
+        sup = sweep(g.csr, np.full(len(g.edges), UNBOUNDED), every, h)
+        for old in (sup, sup + g.random_values(name, top=3)):
+            new = sweep(g.csr, old, every, h)
+            while (new < old).any():
+                mask = frontier_mask(g.csr, old, new, h)
+                nxt = sweep(g.csr, new, every, h)
+                assert (nxt[~mask] == new[~mask]).all()
+                ends = {x for i in np.flatnonzero(new < old) for x in g.edges[i]}
+                near = ends.union(*(bfs_within(adj, x, h) for x in ends))
+                hop_frontier = [u in near or v in near for u, v in g.edges]
+                assert not (mask & ~np.array(hop_frontier)).any()
+                old, new = new, nxt
 
 
 @given(st.lists(st.lists(st.integers(0, 12), max_size=12), max_size=6))

@@ -15,6 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import paral
+from repro.core.api import decompose
 from repro.core.paral import NotConvergedError, parallel_decompose
 from repro.graphgen import dataset_edges
 from repro.oracle import assert_equivalent
@@ -167,6 +168,18 @@ class TestVariants:
         res = _within(PROMPT_S, parallel_decompose, sparkf, edges, 2, parallelism=16)
         assert _as_dict(res.trussness) == decompose_peeling(edges, 2)
 
+    @pytest.mark.parametrize("variant", ["paral+", "asyn"])
+    def test_passes_smaller_than_the_tasks(self, sparkf, variant):
+        """random_graph(0) at h=2 has 12 edges: each Asyn block holds 3,
+        and Paral+'s third sweep recomputes 2. On a session with 4 task
+        slots, passes with fewer edge ids than the 4 tasks leave some
+        tasks an empty chunk."""
+        edges = random_graph(0)
+        res = decompose(sparkf, edges, 2, variant, parallelism=4)
+        assert _as_dict(res.trussness) == decompose_peeling(edges, 2)
+        if variant == "paral+":
+            assert [s.recomputed for s in res.stats] == [12, 5, 2, 4]
+
     def test_parallelism_restores_conf(self, sparkf):
         before = sparkf.conf.get("spark.sql.shuffle.partitions")
         parallel_decompose(sparkf, SMALL_GRAPHS["triangle"], 1, parallelism=2)
@@ -223,12 +236,26 @@ class TestBenchScale:
         edges = dataset_edges("YT")
         return edges, serial_hindex_decompose(edges.tolist(), 2)
 
+    @pytest.fixture(scope="class")
+    def runs(self, sparkf, yt):
+        return {pruning: parallel_decompose(sparkf, yt[0], 2, pruning=pruning,
+                                            parallelism=4)
+                for pruning in (False, True)}
+
     @pytest.mark.parametrize("pruning", [False, True])
-    def test_matches_serial(self, sparkf, yt, pruning):
-        edges, (expected, ref_sweeps) = yt
-        res = parallel_decompose(sparkf, edges, 2, pruning=pruning, parallelism=4)
+    def test_matches_serial(self, yt, runs, pruning):
+        _, (expected, ref_sweeps) = yt
+        res = runs[pruning]
         assert _as_dict(res.trussness) == expected
         assert res.sweeps == ref_sweeps
+
+    def test_pruning_recomputes_fewer_edges(self, runs):
+        paral, plus = runs[False], runs[True]
+        assert _as_dict(plus.trussness) == _as_dict(paral.trussness)
+        assert plus.sweeps == paral.sweeps == len(plus.stats) == len(paral.stats)
+        assert [s.dropped for s in plus.stats] == [s.dropped for s in paral.stats]
+        assert (sum(s.recomputed for s in plus.stats)
+                < sum(s.recomputed for s in paral.stats))
 
 
 class TestKernelWorkers:
@@ -295,7 +322,7 @@ class TestKernelWorkers:
         with _no_leftovers(), pytest.raises(NotConvergedError) as err:
             parallel_decompose(sparkf, self.TOY, 2, parallelism=4, max_sweeps=1)
         assert err.value.sweeps == 1
-        assert err.value.changed > 0
+        assert err.value.last.dropped > 0
         self._assert_toy_right(sparkf)
 
 

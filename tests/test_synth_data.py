@@ -1,27 +1,7 @@
-"""Tests for the provided synth_data module and its graph extension."""
+"""Tests for the synth_data module's graph re-exports and bridge."""
 import pytest
 
 from repro import synth_data
-
-
-class TestTpchLite:
-    """The provided OLAP generators still work (unused by the paper's
-    experiments but part of the repo contract)."""
-
-    def test_lineitem_shape(self, sparkf):
-        df = synth_data.lineitem(sparkf, sf=0.001)
-        assert df.count() == 6000
-        assert "l_orderkey" in df.columns
-
-    def test_orders_deterministic(self, sparkf):
-        a = synth_data.orders(sparkf, sf=0.001).toPandas()
-        b = synth_data.orders(sparkf, sf=0.001).toPandas()
-        assert a.equals(b)
-
-    def test_zipf_keys_skewed(self, sparkf):
-        df = synth_data.zipf_keys(sparkf, n=5000, n_keys=100).toPandas()
-        top = df["k"].value_counts().iloc[0]
-        assert top > 5000 / 100  # far above uniform share
 
 
 class TestGraphExtension:
