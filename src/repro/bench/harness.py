@@ -57,7 +57,7 @@ def run_efficiency_cell(
     budget (paper convention, theirs was 4 days)."""
     edges = dataset_edges(dataset, scale)
     if algorithm == "base":
-        res = baseline_decompose([tuple(e) for e in edges], h, budget_s=budget_s)
+        res = baseline_decompose(edges, h, budget_s=budget_s)
         return res.seconds, 0
     t0 = time.monotonic()
     # parallelism=16 mirrors the paper's 20-thread default; the call caps

@@ -20,8 +20,6 @@ a DataFrame; its sweep count is reported as 0 — peeling has no sweeps).
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.graph.edges import edge_array
-
 from .baseline import baseline_decompose
 from .paral import DecomposeResult, parallel_decompose
 
@@ -42,7 +40,7 @@ def decompose(
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; pick one of {VARIANTS}")
     if variant == "base":
-        res = baseline_decompose(_as_edge_list(edges), h, budget_s=budget_s)
+        res = baseline_decompose(edges, h, budget_s=budget_s)
         if res.timed_out:
             raise TimeoutError(f"Base exceeded budget of {budget_s}s (paper: INF)")
         pdf = pd.DataFrame(
@@ -63,8 +61,3 @@ def decompose(
         # asynchrony"). Deviation documented in DESIGN.md §3.
         kwargs.update(pruning=True)
     return parallel_decompose(spark, edges, h, **kwargs)
-
-
-def _as_edge_list(edges):
-    """Any accepted edge input as a canonical list of int pairs."""
-    return [tuple(e) for e in edge_array(edges).tolist()]

@@ -16,7 +16,8 @@ import time
 from collections import deque
 from dataclasses import dataclass
 
-from repro.pyref.graphs import adjacency, canonical_edges
+from repro.graph.edges import edge_array
+from repro.pyref.graphs import adjacency
 from repro.pyref.hsupport import h_support
 
 INF = float("inf")
@@ -51,11 +52,12 @@ def _ball(adj, sources, radius):
 def baseline_decompose(edges, h, budget_s: float | None = None) -> BaselineResult:
     """Run Algorithm 1; returns the h-trussness of every edge.
 
+    ``edges`` is any input :func:`~repro.graph.edges.edge_array` accepts.
     ``budget_s`` bounds wall-clock time; on exhaustion the result carries
     ``trussness=None`` and ``seconds=INF`` (the paper's INF marker).
     """
     t0 = time.monotonic()
-    edges = canonical_edges(edges)
+    edges = edge_array(edges).tolist()
     adj = adjacency(edges)
 
     # Lines 1-5: initial h-supports into bins (bin sort as in core decomp).

@@ -32,12 +32,20 @@ values, computed by :func:`~repro.core.kernel.sweep` — Algorithm 3.
 Pass 0 runs the kernel with every H-value unbounded, which yields the
 h-support ``H^(0)``. The H vector lives on the driver between passes,
 as the paper's threads share it in memory.
+
+Each task first calls :func:`_skip_unchanged_zip_rereads`, so that the
+later tasks of its PySpark worker start without re-reading the zip
+archives on ``sys.path``; that cut the launch, until every task holds
+the CSR, from about 0.3 s to 0.07-0.09 s on a 4-core host (DESIGN.md §3,
+"per-call floor"). :class:`DecomposeResult` reports the launch and pass
+0 as ``launch_s`` and ``support_s``.
 """
 import os
 import secrets
 import socket
 import threading
 import time
+import zipimport
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass, field
 from multiprocessing import AuthenticationError
@@ -66,12 +74,18 @@ class SweepStats:
 class DecomposeResult:
     """Decomposition output: the trussness table, the sweep count the
     paper's Figure 6 reports, (in trace mode) the per-sweep H-value
-    tables of Figure 3, and one :class:`SweepStats` per sweep."""
+    tables of Figure 3, and one :class:`SweepStats` per sweep.
+
+    ``launch_s`` is the seconds from the start of the call's Spark job
+    until every kernel task holds the CSR, and ``support_s`` the seconds
+    of pass 0, the h-support round. Both are 0.0 for Base."""
 
     trussness: DataFrame
     sweeps: int
     trace: list[pd.DataFrame] = field(default_factory=list)
     stats: list[SweepStats] = field(default_factory=list)
+    launch_s: float = 0.0
+    support_s: float = 0.0
 
 
 class NotConvergedError(RuntimeError):
@@ -135,10 +149,13 @@ def parallel_decompose(
     m = csr.m
     k = min(worker_count(spark.sparkContext, parallelism), m)
 
+    start = time.perf_counter()
     with _kernel_workers(spark.sparkContext, csr, h, k) as run:
+        launch_s = time.perf_counter() - start
         # Lines 1-3: H^(0) = h-support.
         every = np.arange(m)
         state = run(np.full(m, UNBOUNDED, dtype=np.int64), every)
+        support_s = time.perf_counter() - start - launch_s
 
         # Asynchronous (chromatic) schedule: blocks in ascending initial
         # support, so decreases propagate in peeling order within a sweep.
@@ -173,7 +190,7 @@ def parallel_decompose(
         out = pd.DataFrame({"src": pairs[:, 0], "dst": pairs[:, 1],
                             "trussness": state + 2})
         table = spark.createDataFrame(out, _RESULT_SCHEMA)
-    return DecomposeResult(table, len(stats), traces, stats)
+    return DecomposeResult(table, len(stats), traces, stats, launch_s, support_s)
 
 
 @contextmanager
@@ -187,10 +204,13 @@ def _kernel_workers(sc: SparkContext, csr: Csr, h: int, k: int):
     releases the tasks. The tasks form one barrier job, launched from an
     :class:`~pyspark.InheritableThread` so the caller's job group covers
     it; they connect back to a listener on ``spark.driver.host`` that
-    admits only holders of a fresh per-call key, and receive the CSR. If
-    the job fails, the waiting driver raises its error. On leaving the
-    block the connections are closed (a task not yet released exits on
-    EOF), then the listener, and the job thread is joined.
+    admits only holders of a fresh per-call key, receive the CSR and
+    acknowledge it, and the block is entered once every task has. Each
+    task first calls :func:`_skip_unchanged_zip_rereads`, which speeds up
+    the start of later tasks in its worker process. If the job fails,
+    the waiting driver raises its error. On leaving the block the
+    connections are closed (a task not yet released exits on EOF), then
+    the listener, and the job thread is joined.
     """
     # Both ends unpickle what they receive: only holders of this key may
     # connect.
@@ -200,9 +220,11 @@ def _kernel_workers(sc: SparkContext, csr: Csr, h: int, k: int):
     address = listener.address
 
     def serve(_):
+        _skip_unchanged_zip_rereads()
         with Client(address, authkey=authkey) as conn, suppress(EOFError):
             _no_delay(conn)
             graph = conn.recv()
+            conn.send(None)
             # EOF: the driver gave up on the call and closed the connection.
             while (msg := conn.recv()) is not None:
                 hval, eids = msg
@@ -246,10 +268,8 @@ def _kernel_workers(sc: SparkContext, csr: Csr, h: int, k: int):
         except OSError:
             lost()
 
-    def run(hval, eids=None):
-        if hval is None:
-            return send([None] * k)
-        send((hval, chunk) for chunk in np.array_split(eids, k))
+    def gather():
+        """One reply from every task, in task order."""
         replies = {}
         while len(replies) < k:
             ready = wait([c for c in conns if c not in replies], timeout=_POLL_S)
@@ -260,7 +280,13 @@ def _kernel_workers(sc: SparkContext, csr: Csr, h: int, k: int):
                     replies[conn] = conn.recv()
                 except (EOFError, OSError):
                     lost()
-        return np.concatenate([replies[conn] for conn in conns])
+        return [replies[conn] for conn in conns]
+
+    def run(hval, eids=None):
+        if hval is None:
+            return send([None] * k)
+        send((hval, chunk) for chunk in np.array_split(eids, k))
+        return np.concatenate(gather())
 
     thread = InheritableThread(target=job, daemon=True)
     try:
@@ -273,9 +299,48 @@ def _kernel_workers(sc: SparkContext, csr: Csr, h: int, k: int):
             if done.is_set():
                 lost()
         send([csr] * k)
+        gather()
         yield run
     finally:
         close()
+
+
+def _skip_unchanged_zip_rereads():
+    """Make ``importlib.invalidate_caches()`` in this process re-read a
+    zip archive on ``sys.path`` only if the archive changed.
+
+    PySpark's worker calls ``invalidate_caches`` at the start of every
+    task. Before Python 3.13, that makes each ``zipimporter`` re-read its
+    archive's central directory, and a reused worker holds 16 of them
+    (``pyspark.zip``, its sub-packages and py4j): 0.1-0.2 s per task.
+    The wrapper installed here re-reads an archive only when its
+    ``(st_mtime_ns, st_size)`` differs from a stamp taken just before
+    its last read, the rule ``FileFinder`` applies to directories.
+    Otherwise it points the importer at the cached directory, which the
+    other importers of the same archive share. An archive that cannot
+    be stat'ed goes to the stock method. A call after the first changes
+    nothing; the wrapper takes effect from the next
+    ``invalidate_caches``, which re-reads each archive once to stamp it.
+    """
+    stock = zipimport.zipimporter.invalidate_caches
+    if stock.__module__ == __name__:
+        return
+    stamps = {}
+
+    def invalidate_caches(self):
+        try:
+            st = os.stat(self.archive)
+        except OSError:
+            return stock(self)
+        stamp = st.st_mtime_ns, st.st_size
+        files = zipimport._zip_directory_cache.get(self.archive)
+        if files is not None and stamps.get(self.archive) == stamp:
+            self._files = files
+        else:
+            stamps[self.archive] = stamp
+            stock(self)
+
+    zipimport.zipimporter.invalidate_caches = invalidate_caches
 
 
 def _no_delay(conn):

@@ -2,7 +2,7 @@
 import pytest
 
 from repro.core import decompose
-from repro.core.api import VARIANTS, _as_edge_list
+from repro.core.api import VARIANTS
 from repro.pyref import decompose_peeling
 
 from .graph_catalog import SMALL_GRAPHS
@@ -40,19 +40,3 @@ class TestDecomposeApi:
         )
         assert len(res.trace) == res.sweeps + 1
 
-
-class TestAsEdgeList:
-    def test_from_list(self):
-        assert _as_edge_list([(1, 2)]) == [(1, 2)]
-
-    def test_from_pandas(self):
-        import pandas as pd
-
-        pdf = pd.DataFrame({"src": [1], "dst": [2]})
-        assert _as_edge_list(pdf) == [(1, 2)]
-
-    def test_from_spark(self, sparkf):
-        from repro.graph.edges import edges_df
-
-        df = edges_df(sparkf, [(2, 1)])
-        assert _as_edge_list(df) == [(1, 2)]

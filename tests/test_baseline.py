@@ -48,3 +48,24 @@ class TestBaselineBudget:
     def test_generous_budget_finishes(self):
         res = baseline_decompose(SMALL_GRAPHS["toy"], 2, budget_s=120.0)
         assert not res.timed_out
+
+
+class TestInputForms:
+    """Base takes every edge input ``decompose`` takes; a triangle given
+    with reversed and repeated edges."""
+
+    EDGES = [(2, 1), (1, 3), (3, 2), (1, 2)]
+    EXPECTED = {(1, 2): 3, (1, 3): 3, (2, 3): 3}
+
+    def test_from_list(self):
+        assert baseline_decompose(self.EDGES, 1).trussness == self.EXPECTED
+
+    def test_from_pandas(self):
+        import pandas as pd
+
+        pdf = pd.DataFrame(self.EDGES, columns=["src", "dst"])
+        assert baseline_decompose(pdf, 1).trussness == self.EXPECTED
+
+    def test_from_spark(self, sparkf):
+        df = sparkf.createDataFrame(self.EDGES, "u long, v long")
+        assert baseline_decompose(df, 1).trussness == self.EXPECTED

@@ -7,6 +7,8 @@ Paral (§4.3); results are also pushed through the DuckDB oracle.
 import gc
 import os
 import threading
+import time
+import zipimport
 from contextlib import contextmanager
 
 import pandas as pd
@@ -315,6 +317,59 @@ class TestKernelWorkers:
 
         monkeypatch.setattr(paral, "Client", wrong_key_first)
         self._assert_toy_right(sparkf)
+
+    def test_setup_timings(self, sparkf):
+        """``launch_s``, ``support_s`` and the sweeps fit inside the call."""
+        start = time.perf_counter()
+        res = parallel_decompose(sparkf, self.TOY, 2, parallelism=4)
+        wall = time.perf_counter() - start
+        assert res.launch_s > 0 and res.support_s > 0
+        assert res.launch_s + res.support_s + sum(s.seconds for s in res.stats) <= wall
+
+    def test_workers_skip_unchanged_zip_rereads(self, sparkf):
+        """A task in a worker that ran a kernel task reads no zip
+        directory while it starts, and the driver's ``zipimport`` is
+        untouched.
+
+        A first job installs a counter of zip directory reads in each
+        worker that ran a kernel task; a second job reports, by pid, what
+        it counted since. Both jobs have many more tasks than slots, so
+        they go through every idle worker."""
+        self._assert_toy_right(sparkf)
+        sc = sparkf.sparkContext
+        n = 8 * sc.defaultParallelism
+
+        def install_counter(_):
+            import zipimport
+
+            read = zipimport._read_directory
+            kernel_ran = zipimport.zipimporter.invalidate_caches.__module__ != "zipimport"
+            if kernel_ran and not hasattr(read, "reads"):
+                def counting(path):
+                    counting.reads.append(path)
+                    return read(path)
+
+                counting.reads, counting.stock = [], read
+                zipimport._read_directory = counting
+            return iter([os.getpid()] if kernel_ran else [])
+
+        def report_reads(_):
+            import zipimport
+
+            read = zipimport._read_directory
+            if not hasattr(read, "reads"):
+                return iter(())
+            zipimport._read_directory = read.stock
+            return iter([(os.getpid(), read.reads)])
+
+        counted = set(sc.parallelize(range(n), n).mapPartitions(install_counter).collect())
+        reads = dict(sc.parallelize(range(n), n).mapPartitions(report_reads).collect())
+        assert counted, "no worker holds the wrapper a kernel task installs"
+        assert reads and set(reads) <= counted
+        assert all(paths == [] for paths in reads.values()), reads
+        stock = zipimport.zipimporter.invalidate_caches
+        assert (stock.__module__, stock.__qualname__) == (
+            "zipimport", "zipimporter.invalidate_caches")
 
     def test_not_converged(self, sparkf):
         """The toy graph at h=2 needs 4 sweeps."""
