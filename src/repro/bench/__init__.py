@@ -1,13 +1,16 @@
-"""Experiment harness: timing with an INF budget, and the five
-table-reproduction experiments (T1-T5) shared by ``jobs/`` and
-``benchmarks/``."""
+"""Experiment harness: the five reproduced tables (T1-T5) as row
+builders over one timed decomposition cell, rendered by
+``jobs/tables.py``."""
 from .harness import (  # noqa: F401
+    BUDGET_S,
     fmt_seconds,
+    host_line,
     markdown_table,
-    run_efficiency_cell,
-    run_iterations_cell,
+    run_cell,
     run_serial_iterations_cell,
-    run_speedup_cell,
-    table1_rows,
-    table2_trace,
+    table1,
+    table2,
+    table3,
+    table4,
+    table5,
 )

@@ -1,16 +1,25 @@
 """Experiment harness for the five reproduced tables (DESIGN.md §5).
 
-Each ``run_*_cell`` function produces one cell/row of a table and is
-what both the ``jobs/`` entrypoints (full tables) and the
-``benchmarks/`` pytest-benchmark targets (timed cells) call, so the
-numbers in EXPERIMENTS.md and bench_output.txt come from the same code.
+``table1`` … ``table5`` each return one table as ``(headers, rows)``;
+``jobs/tables.py`` renders them with :func:`markdown_table`. Every timed
+number comes from :func:`run_cell`, so all tables time a decomposition
+the same way.
 """
+import os
+import platform
 import time
+
+import numpy as np
 
 from repro.core.api import decompose
 from repro.core.baseline import INF, baseline_decompose
+from repro.core.paral import worker_count
 from repro.graphgen.datasets import DATASETS, dataset_edges
 from repro.graphgen.toy import toy_edges
+
+# Base's seconds per cell before it is reported INF (the paper's INF was
+# 4 days of C++ on the full-size graphs).
+BUDGET_S = 100.0
 
 
 def fmt_seconds(s: float) -> str:
@@ -27,71 +36,39 @@ def markdown_table(headers, rows) -> str:
     return "\n".join(out)
 
 
-def table1_rows(scale: float | None = None):
-    """T1 — dataset statistics: (key, name, paper |V|, paper |E|,
-    stand-in |V|, stand-in |E|) per dataset at the given scale."""
-    rows = []
-    for key, spec in DATASETS.items():
-        edges = dataset_edges(key, scale)
-        n = len({int(v) for e in edges for v in e})
-        rows.append((key, spec.name, spec.n_paper, spec.m_paper, n, len(edges)))
-    return rows
+def host_line(spark) -> str:
+    """Where a table ran: cores, memory, Spark and Python versions."""
+    mem = os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES") / (1 << 30)
+    return (
+        f"host: {os.cpu_count()} cores, {mem:.1f} GiB memory, "
+        f"Spark {spark.version} ({spark.sparkContext.master}), "
+        f"Python {platform.python_version()}"
+    )
 
 
-def table2_trace(spark, h: int = 2):
-    """T2 — Figure 3: per-sweep H-values of every toy edge.
-
-    Returns ``(trace_frames, sweeps)``; frame ``i`` holds the paper's
-    ``(i)-order`` row (frame 0 = initial h-support)."""
-    res = decompose(spark, toy_edges(), h, variant="paral", trace=True, parallelism=4)
-    return res.trace, res.sweeps
-
-
-def run_efficiency_cell(
-    spark, dataset: str, h: int, algorithm: str, *, budget_s: float = 300.0,
-    scale: float | None = None,
+def run_cell(
+    spark, dataset: str, h: int, variant: str, *, parallelism: int = 16,
+    budget_s: float = BUDGET_S, scale: float | None = None,
 ):
-    """T3 — Figure 4: one (dataset, h, algorithm) wall-clock cell.
+    """One timed decomposition of a stand-in: ``(seconds, sweeps)``.
 
-    Returns ``(seconds, sweeps)``; ``seconds == INF`` when Base blows the
-    budget (paper convention, theirs was 4 days)."""
+    ``parallelism`` plays the paper's thread-count role (DESIGN.md
+    substitution 1); the default mirrors its 20-thread runs, and the call
+    caps it at the session's task slots. Base runs serially under
+    ``budget_s`` and reports ``(INF, 0)`` past it, as the paper does."""
     edges = dataset_edges(dataset, scale)
-    if algorithm == "base":
+    if variant == "base":
         res = baseline_decompose(edges, h, budget_s=budget_s)
         return res.seconds, 0
     t0 = time.monotonic()
-    # parallelism=16 mirrors the paper's 20-thread default; the call caps
-    # it at the session's task slots (parallel_decompose).
-    res = decompose(spark, edges, h, variant=algorithm, parallelism=16)
+    res = decompose(spark, edges, h, variant=variant, parallelism=parallelism)
     res.trussness.count()  # materialize — the decompose loop already ran eagerly
     return time.monotonic() - t0, res.sweeps
 
 
-def run_speedup_cell(spark, dataset: str, h: int, parallelism: int,
-                     scale: float | None = None):
-    """T4 — Figure 5: Paral wall time at a given parallelism.
-
-    ``parallelism`` plays the paper's thread-count role (DESIGN.md
-    substitution 1); 1 is the paper's **Single**."""
-    edges = dataset_edges(dataset, scale)
-    t0 = time.monotonic()
-    res = decompose(spark, edges, h, variant="paral", parallelism=parallelism)
-    res.trussness.count()
-    return time.monotonic() - t0, res.sweeps
-
-
-def run_iterations_cell(spark, dataset: str, h: int, algorithm: str,
-                        scale: float | None = None):
-    """T5 — Figure 6: sweep count of Paral vs Asyn on one dataset."""
-    edges = dataset_edges(dataset, scale)
-    res = decompose(spark, edges, h, variant=algorithm, parallelism=16)
-    res.trussness.count()
-    return res.sweeps
-
-
-def run_serial_iterations_cell(dataset: str, h: int, asynchronous: bool,
+def run_serial_iterations_cell(dataset: str, h: int,
                                scale: float | None = None) -> int:
-    """T5 companion: sweep count of the *serial per-edge* schedule.
+    """Sweep count of the *serial per-edge* asynchronous schedule.
 
     The paper's Asyn lets every edge read values updated earlier in the
     same sweep (shared memory). The Spark variant approximates that with
@@ -101,5 +78,77 @@ def run_serial_iterations_cell(dataset: str, h: int, asynchronous: bool,
     from repro.pyref import serial_hindex_decompose
 
     edges = [tuple(e) for e in dataset_edges(dataset, scale)]
-    _, sweeps = serial_hindex_decompose(edges, h, asynchronous=asynchronous)
+    _, sweeps = serial_hindex_decompose(edges, h, asynchronous=True)
     return sweeps
+
+
+def table1(datasets=None, scale: float | None = None):
+    """T1 — Table 1: paper |V|, |E| against the stand-in's at ``scale``
+    (default: each dataset's bench scale)."""
+    rows = []
+    for key in datasets or DATASETS:
+        spec, edges = DATASETS[key], dataset_edges(key, scale)
+        rows.append((key, spec.name, spec.n_paper, spec.m_paper,
+                     len(np.unique(edges)), len(edges)))
+    return ["key", "dataset", "|V| paper", "|E| paper", "|V| ours", "|E| ours"], rows
+
+
+def table2(spark, h_values=None):
+    """T2 — Figure 3: the H-value of every toy edge after each sweep of a
+    traced Paral run; order ``(0)`` is the initial h-support, and the
+    last order is the converged one. Default h: 2."""
+    rows = []
+    for h in h_values or [2]:
+        trace = decompose(spark, toy_edges(), h, variant="paral", trace=True,
+                          parallelism=4).trace
+        rows += [[h, f"({i})"] + frame["hval"].tolist()
+                 for i, frame in enumerate(trace)]
+    edges = [f"({u},{v})" for u, v in zip(trace[0]["src"], trace[0]["dst"])]
+    return ["h", "n-order"] + edges, rows
+
+
+def table3(spark, datasets=None, h_values=None, *, budget_s: float = BUDGET_S,
+           scale: float | None = None):
+    """T3 — Figure 4: wall time of Base, Paral and Paral+ per dataset and
+    h. Defaults: all six stand-ins, h ∈ {2, 3}."""
+    rows = []
+    for d in datasets or DATASETS:
+        for h in h_values or [2, 3]:
+            rows.append([d, h] + [
+                fmt_seconds(run_cell(spark, d, h, v, budget_s=budget_s, scale=scale)[0])
+                for v in ("base", "paral", "paral+")
+            ])
+    return ["dataset", "h", "Base", "Paral", "Paral+"], rows
+
+
+def table4(spark, datasets=None, h_values=None, parallelism=None, *,
+           scale: float | None = None):
+    """T4 — Figure 5: Paral wall time per parallelism and its speedup
+    over the first level (1 = the paper's **Single**). A call runs at
+    most ``defaultParallelism`` kernel tasks, so each row records the
+    worker count it ran with. Defaults: YT, VL, GA; h=2; 1, 2, 4, 8, 16."""
+    rows = []
+    for d in datasets or ["YT", "VL", "GA"]:
+        for h in h_values or [2]:
+            single = None
+            for p in parallelism or [1, 2, 4, 8, 16]:
+                secs, _ = run_cell(spark, d, h, "paral", parallelism=p, scale=scale)
+                single = single or secs
+                rows.append([d, h, p, worker_count(spark.sparkContext, p),
+                             fmt_seconds(secs), f"{single / secs:.2f}x"])
+    return ["dataset", "h", "parallelism", "workers", "time", "speedup vs Single"], rows
+
+
+def table5(spark, datasets=None, h_values=None, *, scale: float | None = None):
+    """T5 — Figure 6: sweeps of Paral and of the two Asyn schedules, the
+    Spark chromatic one and the serial per-edge one (the paper's exact
+    shared-memory semantics). Defaults: all six stand-ins, h ∈ {2, 3}."""
+    rows = []
+    for d in datasets or DATASETS:
+        for h in h_values or [2, 3]:
+            paral = run_cell(spark, d, h, "paral", scale=scale)[1]
+            asyn = run_cell(spark, d, h, "asyn", scale=scale)[1]
+            serial = run_serial_iterations_cell(d, h, scale=scale)
+            rows.append([d, h, paral, asyn, serial, f"{paral / max(serial, 1):.2f}x"])
+    return ["dataset", "h", "Paral sweeps", "Asyn (chromatic)",
+            "Asyn (per-edge)", "per-edge reduction"], rows

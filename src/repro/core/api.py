@@ -14,7 +14,7 @@ paral+    Paral + Lemma-4 pruning (paper: Asyn + pruning)
 
 Every variant returns a :class:`repro.core.paral.DecomposeResult` whose
 ``trussness`` is a Spark DataFrame ``(src, dst, trussness)`` so results
-are interchangeable in tests and benchmarks (Base's dict is lifted into
+are interchangeable in tests and tables (Base's dict is lifted into
 a DataFrame; its sweep count is reported as 0 — peeling has no sweeps).
 """
 import pandas as pd

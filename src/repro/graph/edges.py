@@ -90,12 +90,3 @@ def adjacency_df(edges: DataFrame) -> DataFrame:
     fwd = edges.select(F.col("src").alias("a"), F.col("dst").alias("b"), "eid")
     rev = edges.select(F.col("dst").alias("a"), F.col("src").alias("b"), "eid")
     return fwd.unionByName(rev)
-
-
-def degrees_df(edges: DataFrame) -> DataFrame:
-    """Vertex degrees ``(v, degree)`` from the canonical edge table."""
-    return (
-        adjacency_df(edges)
-        .groupBy(F.col("a").alias("v"))
-        .agg(F.count("*").alias("degree"))
-    )

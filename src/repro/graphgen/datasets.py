@@ -2,10 +2,10 @@
 
 Each entry records the paper's |V|, |E|, the generator family chosen for
 it (DESIGN.md substitution 5), and a default *bench scale* — the
-fraction of the paper's size used by the pytest benchmarks so a full
-table-3 row finishes in minutes on a 16-core local Spark (the paper used
-a 2×Xeon 256 GB server and C++). ``scale=1.0`` generates at the paper's
-published size.
+fraction of the paper's size that ``jobs/tables.py`` and the bench-scale
+tests use, so a full T3 row finishes in minutes on a 4-core local Spark
+(the paper used a 2×Xeon 256 GB server and C++). ``scale=1.0``
+generates at the paper's published size.
 """
 from dataclasses import dataclass
 
@@ -53,8 +53,8 @@ def dataset_edges(key: str, scale: float | None = None) -> np.ndarray:
     """Edge list of a stand-in at ``scale`` × the paper's size.
 
     ``scale=None`` uses the spec's default bench scale. Deterministic in
-    the spec's seed, so tests, benchmarks and the DuckDB oracle all see
-    the same graph.
+    the spec's seed, so tests, tables and the DuckDB oracle all see the
+    same graph.
     """
     spec = DATASETS[key]
     s = spec.bench_scale if scale is None else scale

@@ -4,18 +4,25 @@ All generators return a canonical undirected simple edge list as an
 ``(m, 2)`` int64 ndarray with ``src < dst``, self-loops removed and
 duplicates collapsed, sorted lexicographically. They aim for a *target*
 edge count; collision removal can land slightly under it, which is fine
-for the reproduction (|E| is matched to within a few percent).
+for the reproduction (|E| is matched to within a few percent). A surplus
+is dropped by a uniform subsample, so no vertex range is favoured.
 """
 import numpy as np
 
 
-def _canonicalize(src: np.ndarray, dst: np.ndarray) -> np.ndarray:
+def _canonicalize(g: np.random.Generator, src: np.ndarray, dst: np.ndarray,
+                  m: int) -> np.ndarray:
+    """The distinct undirected edges of ``(src, dst)``, self-loops dropped,
+    sorted; a surplus over ``m`` is dropped by a uniform draw with ``g``
+    (keeping the first ``m`` would keep the lowest source ids)."""
     keep = src != dst
     src, dst = src[keep], dst[keep]
     lo = np.minimum(src, dst)
     hi = np.maximum(src, dst)
-    pairs = np.unique(np.stack([lo, hi], axis=1), axis=0)
-    return pairs.astype(np.int64)
+    pairs = np.unique(np.stack([lo, hi], axis=1), axis=0).astype(np.int64)
+    if len(pairs) > m:
+        pairs = pairs[np.sort(g.choice(len(pairs), size=m, replace=False))]
+    return pairs
 
 
 def erdos_renyi(n: int, m: int, seed: int = 0) -> np.ndarray:
@@ -25,8 +32,7 @@ def erdos_renyi(n: int, m: int, seed: int = 0) -> np.ndarray:
     k = int(m * 1.3) + 16
     src = g.integers(0, n, k)
     dst = g.integers(0, n, k)
-    pairs = _canonicalize(src, dst)
-    return pairs[:m] if len(pairs) > m else pairs
+    return _canonicalize(g, src, dst, m)
 
 
 def powerlaw_configuration(
@@ -45,8 +51,7 @@ def powerlaw_configuration(
     k = int(m * 1.35) + 16
     src = g.choice(n, size=k, p=w)
     dst = g.choice(n, size=k, p=w)
-    pairs = _canonicalize(src, dst)
-    return pairs[:m] if len(pairs) > m else pairs
+    return _canonicalize(g, src, dst, m)
 
 
 def rmat(
@@ -78,8 +83,7 @@ def rmat(
         dst = (dst << 1) | (quad & 1)
     src %= n
     dst %= n
-    pairs = _canonicalize(src, dst)
-    return pairs[:m] if len(pairs) > m else pairs
+    return _canonicalize(g, src, dst, m)
 
 
 def preferential_attachment(n: int, m: int, seed: int = 0) -> np.ndarray:
@@ -102,7 +106,6 @@ def preferential_attachment(n: int, m: int, seed: int = 0) -> np.ndarray:
             dst_list.append(u)
             targets.append(u)
         targets.extend([v] * per)
-    pairs = _canonicalize(
-        np.asarray(src_list, dtype=np.int64), np.asarray(dst_list, dtype=np.int64)
+    return _canonicalize(
+        g, np.asarray(src_list, dtype=np.int64), np.asarray(dst_list, dtype=np.int64), m
     )
-    return pairs[:m] if len(pairs) > m else pairs

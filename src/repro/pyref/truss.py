@@ -8,7 +8,7 @@ Three independent oracles live here:
   nested truss chain ``(2,h) ⊇ (3,h) ⊇ ...`` (Lemma 1).
 * :func:`serial_hindex_decompose` — the paper's H-index fixpoint
   (Section 4.1/4.2) in serial Python; also reports the sweep count, which
-  benchmarks T5 against.
+  T5 compares the Spark variants against.
 
 All take raw edge lists and canonicalize internally.
 """

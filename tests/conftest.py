@@ -1,6 +1,6 @@
 """Test-side fixtures: a shuffle-partition-lowered view of the session
-SparkSession (tiny unit-test graphs don't need 64-way shuffles; the
-benchmarks keep the session default), plus shared tiny graphs."""
+SparkSession (tiny unit-test graphs don't need 64-way shuffles), plus
+shared tiny graphs."""
 import pytest
 
 from .graph_catalog import SMALL_GRAPHS, random_graph  # noqa: F401

@@ -93,7 +93,18 @@ class TestDatasets:
     def test_bench_scale_is_scaled(self, key):
         spec = DATASETS[key]
         edges = dataset_edges(key)
-        assert len(edges) <= spec.m_paper * spec.bench_scale + 8
+        assert 0 < len(edges) <= spec.m_paper * spec.bench_scale + 8
+
+    @pytest.mark.parametrize("key", sorted(DATASETS))
+    def test_bench_scale_spans_the_vertex_ids(self, key):
+        """Surplus edges are dropped by a uniform subsample, so the
+        largest low endpoint comes near n. Keeping the first m sorted
+        edges stopped it at 287 of YT's 1,870 vertex ids. The bound is
+        0.8 n because YT's power-law tail is sparse: even an unbiased
+        draw can stop short of 0.9 n (this one at 1,674)."""
+        spec = DATASETS[key]
+        n = max(4, int(spec.n_paper * spec.bench_scale))
+        assert dataset_edges(key)[:, 0].max() >= 0.8 * n
 
     def test_registry_has_the_six_paper_datasets(self):
         assert sorted(DATASETS) == ["AM", "AN", "GA", "SC", "VL", "YT"]

@@ -4,9 +4,8 @@ import pytest
 from repro.bench import (
     fmt_seconds,
     markdown_table,
-    run_efficiency_cell,
-    run_iterations_cell,
-    table1_rows,
+    run_cell,
+    table1,
 )
 from repro.core.baseline import INF
 from repro.graphgen import DATASETS
@@ -29,31 +28,34 @@ class TestFormatting:
 
 class TestTable1:
     def test_has_six_rows(self):
-        rows = table1_rows(scale=0.02)
+        _, rows = table1(scale=0.02)
         assert len(rows) == 6
         assert {r[0] for r in rows} == set(DATASETS)
 
     def test_row_shape(self):
-        key, name, nv, ne, gv, ge = table1_rows(scale=0.02)[0]
-        assert gv <= nv and ge <= ne
+        key, name, nv, ne, gv, ge = table1(scale=0.02)[1][0]
+        assert 0 < gv <= nv and 0 < ge <= ne
 
 
 class TestCells:
     """Cells at minuscule scale: the harness plumbing, not performance."""
 
     def test_base_cell_reports_inf_on_zero_budget(self, sparkf):
-        secs, sweeps = run_efficiency_cell(
-            sparkf, "SC", 2, "base", budget_s=0.0, scale=0.02
-        )
+        secs, sweeps = run_cell(sparkf, "SC", 2, "base", budget_s=0.0, scale=0.02)
         assert secs == INF and sweeps == 0
 
     def test_base_cell_finishes_small(self, sparkf):
-        secs, _ = run_efficiency_cell(
-            sparkf, "YT", 1, "base", budget_s=300.0, scale=0.05
-        )
-        assert secs < 300
+        secs, _ = run_cell(sparkf, "YT", 1, "base", scale=0.05)
+        assert 0 < secs < 300
 
     @pytest.mark.parametrize("algo", ["paral", "asyn"])
     def test_iterations_cell(self, sparkf, algo):
-        sweeps = run_iterations_cell(sparkf, "YT", 2, algo, scale=0.03)
+        _, sweeps = run_cell(sparkf, "YT", 2, algo, scale=0.03)
         assert sweeps >= 1
+
+    @pytest.mark.parametrize(("variant", "parallelism"),
+                             [("paral", 1), ("paral", 16), ("paral+", 4)])
+    def test_timed_cell(self, sparkf, variant, parallelism):
+        secs, sweeps = run_cell(sparkf, "YT", 2, variant, parallelism=parallelism,
+                                scale=0.05)
+        assert secs > 0 and sweeps >= 1

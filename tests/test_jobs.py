@@ -8,42 +8,67 @@ JOBS = Path(__file__).resolve().parents[1] / "jobs"
 sys.path.insert(0, str(JOBS))
 
 import run_decomposition  # noqa: E402
-import table1_datasets  # noqa: E402
-import table2_toy_convergence  # noqa: E402
-import table3_efficiency  # noqa: E402
-import table4_speedup  # noqa: E402
-import table5_iterations  # noqa: E402
+import tables  # noqa: E402
+
+
+def _tables(spark, capsys, *argv):
+    """``jobs/tables.py``'s output for ``argv``: the host line, then the
+    lines of each table."""
+    tables.run(spark, list(argv))
+    host, *rest = capsys.readouterr().out.splitlines()
+    return host, [line for line in rest if line.startswith("|")]
 
 
 class TestTableJobs:
-    def test_table1(self):
-        out = table1_datasets.run(scale=0.02)
-        assert "|E| paper" in out
-        assert out.count("\n") == 7  # header + separator + 6 datasets
+    def test_table1(self, sparkf, capsys):
+        host, lines = _tables(sparkf, capsys, "--tables", "1", "--scale", "0.02")
+        assert host.startswith("host: ") and f"Spark {sparkf.version}" in host
+        assert "|E| paper" in lines[0]
+        assert len(lines) == 8  # header + separator + 6 datasets
 
-    def test_table2(self, sparkf):
-        out = table2_toy_convergence.run(sparkf, h=2)
-        assert "(0)" in out and "converged after 4 sweeps" in out
+    def test_table2(self, sparkf, capsys):
+        _, lines = _tables(sparkf, capsys, "--tables", "2")
+        assert lines[0].startswith("| h | n-order |")
+        assert [line.split(" | ")[1] for line in lines[2:]] == [
+            f"({i})" for i in range(5)  # h-support, then 4 sweeps to converge
+        ]
 
-    def test_table3_tiny(self, sparkf):
-        out = table3_efficiency.run(
-            sparkf, ["YT"], [2], budget_s=300.0, scale=0.05
-        )
-        assert "Paral+" in out and "YT" in out
+    def test_table3_tiny(self, sparkf, capsys):
+        _, lines = _tables(sparkf, capsys, "--tables", "3", "--datasets", "YT",
+                           "--h-values", "2", "--scale", "0.05")
+        assert lines[0] == "| dataset | h | Base | Paral | Paral+ |"
+        assert len(lines) == 3 and lines[2].startswith("| YT | 2 |")
 
-    def test_table4_tiny(self, sparkf):
-        out = table4_speedup.run(sparkf, ["YT"], 2, [1, 4], scale=0.05)
-        assert "speedup vs Single" in out
-        assert out.count("\n") == 3  # header + separator + 2 rows
+    def test_table4_tiny(self, sparkf, capsys):
+        _, lines = _tables(sparkf, capsys, "--tables", "4", "--datasets", "YT",
+                           "--h-values", "2", "--parallelism", "1,4",
+                           "--scale", "0.05")
+        assert "speedup vs Single" in lines[0]
+        assert len(lines) == 4  # header + separator + 2 rows
+        assert lines[2].endswith("| 1.00x |")
 
-    def test_table4_records_worker_cap(self, sparkf):
+    def test_table4_records_worker_cap(self, sparkf, capsys):
         slots = sparkf.sparkContext.defaultParallelism
-        out = table4_speedup.run(sparkf, ["YT"], 2, [slots + 1], scale=0.05)
-        assert f"| {slots + 1} | {slots} |" in out
+        _, lines = _tables(sparkf, capsys, "--tables", "4", "--datasets", "YT",
+                           "--h-values", "2", "--parallelism", str(slots + 1),
+                           "--scale", "0.05")
+        assert f"| {slots + 1} | {slots} |" in lines[2]
 
-    def test_table5_tiny(self, sparkf):
-        out = table5_iterations.run(sparkf, ["YT"], [2], scale=0.05)
-        assert "Asyn (chromatic)" in out and "Asyn (per-edge)" in out
+    def test_table5_tiny(self, sparkf, capsys):
+        _, lines = _tables(sparkf, capsys, "--tables", "5", "--datasets", "YT",
+                           "--h-values", "2", "--scale", "0.05")
+        assert "Asyn (chromatic)" in lines[0] and "Asyn (per-edge)" in lines[0]
+        assert len(lines) == 3
+
+    @pytest.mark.parametrize(("argv", "message"), [
+        (["--tables", "6"], "no table [6]"),
+        (["--datasets", "YT,XX"], "no dataset ['XX']"),
+    ], ids=["table", "dataset"])
+    def test_unknown_selection_is_rejected(self, sparkf, capsys, argv, message):
+        with pytest.raises(SystemExit):
+            tables.run(sparkf, argv)
+        captured = capsys.readouterr()
+        assert message in captured.err and captured.out == ""
 
     def test_run_decomposition(self, sparkf):
         hist, sweeps = run_decomposition.run(sparkf, "YT", 2, "paral+", scale=0.05)

@@ -19,6 +19,10 @@ from .graph_catalog import SMALL_GRAPHS, random_graph
 
 GRAPHS = [(name, SMALL_GRAPHS[name]) for name in sorted(SMALL_GRAPHS)] + [
     (f"random{seed}", random_graph(seed)) for seed in range(4)
+] + [
+    # At h=2 a mask queried at src endpoints only misses edges the next
+    # sweep lowers on this graph, and on none of the graphs above.
+    ("random34_n14", random_graph(34, n=14)),
 ]
 
 

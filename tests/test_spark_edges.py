@@ -1,11 +1,11 @@
-"""Tests for the canonical edge / adjacency / degree DataFrames."""
+"""Tests for the canonical edge and adjacency DataFrames."""
 import pandas as pd
 import pytest
 
-from repro.graph.edges import adjacency_df, degrees_df, edges_df
+from repro.graph.edges import adjacency_df, edges_df
 from repro.pyref.graphs import adjacency, canonical_edges
 
-from .graph_catalog import SMALL_GRAPHS, random_graph
+from .graph_catalog import SMALL_GRAPHS
 
 
 def _collect_edges(df):
@@ -60,12 +60,3 @@ class TestAdjacencyDf:
     def test_row_count_is_twice_edges(self, sparkf):
         e = edges_df(sparkf, SMALL_GRAPHS["toy"])
         assert adjacency_df(e).count() == 2 * e.count()
-
-
-class TestDegreesDf:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_matches_reference(self, sparkf, seed):
-        edges = random_graph(seed)
-        ref = {v: len(n) for v, n in adjacency(canonical_edges(edges)).items()}
-        got = {r.v: r.degree for r in degrees_df(edges_df(sparkf, edges)).collect()}
-        assert got == ref

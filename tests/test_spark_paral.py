@@ -231,7 +231,8 @@ class TestSweepsAndTrace:
 
 class TestBenchScale:
     """Paral and Paral+ against the serial synchronous oracle on the
-    2,227-edge power-law YT stand-in at h=2."""
+    2,227-edge power-law YT stand-in at h=2, and Asyn against Paral on
+    YT and on the 13,249-edge uniform GA stand-in."""
 
     @pytest.fixture(scope="class")
     def yt(self):
@@ -258,6 +259,16 @@ class TestBenchScale:
         assert [s.dropped for s in plus.stats] == [s.dropped for s in paral.stats]
         assert (sum(s.recomputed for s in plus.stats)
                 < sum(s.recomputed for s in paral.stats))
+
+    @pytest.mark.parametrize("key", ["YT", "GA"])
+    def test_asyn_needs_no_more_sweeps(self, sparkf, key):
+        """§4.3 and Figure 6: the asynchronous schedule reaches the same
+        trussness in at most Paral's number of sweeps."""
+        edges = dataset_edges(key)
+        paral = parallel_decompose(sparkf, edges, 2, parallelism=4)
+        asyn = parallel_decompose(sparkf, edges, 2, asynchronous=True, parallelism=4)
+        assert _as_dict(asyn.trussness) == _as_dict(paral.trussness)
+        assert 1 <= asyn.sweeps <= paral.sweeps
 
 
 class TestKernelWorkers:
