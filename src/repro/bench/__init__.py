@@ -3,6 +3,7 @@ builders over one timed decomposition cell, rendered by
 ``jobs/tables.py``."""
 from .harness import (  # noqa: F401
     BUDGET_S,
+    INF,
     fmt_seconds,
     host_line,
     markdown_table,

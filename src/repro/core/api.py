@@ -1,6 +1,4 @@
-"""One front door for all five paper algorithms.
-
-``decompose(spark, edges, h, variant=...)`` dispatches to:
+"""The one way to run a decomposition: ``decompose(spark, edges, h, variant)``.
 
 ========  =====================================================
 variant   meaning (paper Section 5.1)
@@ -12,16 +10,18 @@ asyn      Paral + asynchronous (chromatic) update
 paral+    Paral + Lemma-4 pruning (paper: Asyn + pruning)
 ========  =====================================================
 
-Every variant returns a :class:`repro.core.paral.DecomposeResult` whose
-``trussness`` is a Spark DataFrame ``(src, dst, trussness)`` so results
-are interchangeable in tests and tables (Base's dict is lifted into
-a DataFrame; its sweep count is reported as 0 — peeling has no sweeps).
+Base is :func:`repro.core.baseline.baseline_decompose`; the other four
+are :func:`repro.core.paral.iterate`. Every variant returns a
+:class:`repro.core.paral.DecomposeResult` whose ``trussness`` is a Spark
+DataFrame ``(src, dst, trussness)``, so results are interchangeable in
+tests and tables (Base's dict is lifted into a DataFrame, with no sweep
+stats — peeling has no sweeps).
 """
 import pandas as pd
 from pyspark.sql import SparkSession
 
 from .baseline import baseline_decompose
-from .paral import DecomposeResult, parallel_decompose
+from .paral import RESULT_SCHEMA, DecomposeResult, iterate
 
 VARIANTS = ("base", "single", "paral", "asyn", "paral+")
 
@@ -36,28 +36,19 @@ def decompose(
     trace: bool = False,
     budget_s: float | None = None,
 ) -> DecomposeResult:
-    """Compute h-trussness with the chosen paper variant (see module doc)."""
+    """Compute h-trussness with the chosen paper variant (see module doc).
+
+    ``parallelism`` (kernel tasks) and ``trace`` (per-sweep H-values)
+    apply to the sweeping variants; ``budget_s`` to Base, which raises
+    :class:`TimeoutError` past it (the paper's INF)."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; pick one of {VARIANTS}")
-    if variant == "base":
-        res = baseline_decompose(edges, h, budget_s=budget_s)
-        if res.timed_out:
-            raise TimeoutError(f"Base exceeded budget of {budget_s}s (paper: INF)")
-        pdf = pd.DataFrame(
-            [(u, v, t) for (u, v), t in sorted(res.trussness.items())],
-            columns=["src", "dst", "trussness"],
-        )
-        return DecomposeResult(spark.createDataFrame(pdf), 0)
-    kwargs = dict(parallelism=parallelism, trace=trace)
-    if variant == "single":
-        kwargs["parallelism"] = 1
-    elif variant == "asyn":
-        kwargs["asynchronous"] = True  # 4 chromatic blocks
-    elif variant == "paral+":
-        # Lemma-4 pruning on synchronous sweeps; Asyn
-        # (4 chromatic blocks) carries the iteration-count experiment of
-        # Figure 6. The paper's Paral+ is Asyn + pruning: that waits on
-        # partition-local asynchrony in the kernel (ROADMAP, "Faithful
-        # asynchrony"). Deviation documented in DESIGN.md §3.
-        kwargs.update(pruning=True)
-    return parallel_decompose(spark, edges, h, **kwargs)
+    if h < 1:
+        raise ValueError(f"h must be >= 1, got {h}")
+    if variant != "base":
+        return iterate(spark, edges, h, variant, parallelism=parallelism,
+                       trace=trace)
+    trussness = baseline_decompose(edges, h, budget_s)
+    pdf = pd.DataFrame([(u, v, t) for (u, v), t in sorted(trussness.items())],
+                       columns=["src", "dst", "trussness"])
+    return DecomposeResult(spark.createDataFrame(pdf, RESULT_SCHEMA))

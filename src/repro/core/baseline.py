@@ -4,7 +4,8 @@ The paper's baseline is inherently one-edge-at-a-time (each deletion
 invalidates h-supports in its h-hop vicinity), so it runs as driver-side
 Python, exactly as the paper runs it as serial C++ (DESIGN.md
 substitution 4). The paper's 4-day INF convention is reproduced with a
-configurable wall-clock budget.
+wall-clock budget: past it the call raises :class:`TimeoutError`, which
+the experiment harness reports as INF.
 
 After deleting edge ``e = (u, v)`` only edges with an endpoint within
 ``h - 1`` hops of ``u`` or ``v`` (pre-deletion) can lose a common
@@ -14,25 +15,10 @@ within ``h - 1`` hops of its start — so only those are recomputed
 """
 import time
 from collections import deque
-from dataclasses import dataclass
 
 from repro.graph.edges import edge_array
 from repro.pyref.graphs import adjacency
 from repro.pyref.hsupport import h_support
-
-INF = float("inf")
-"""Sentinel reported when the time budget is exhausted (paper: 4 days)."""
-
-
-@dataclass
-class BaselineResult:
-    """Outcome of a Base run: trussness map (or None on timeout),
-    wall-clock seconds (``INF`` on timeout), and the timeout flag."""
-
-    trussness: dict | None
-    seconds: float
-    timed_out: bool
-
 
 def _ball(adj, sources, radius):
     """Vertices within ``radius`` hops of any source (sources included)."""
@@ -49,12 +35,13 @@ def _ball(adj, sources, radius):
     return set(dist)
 
 
-def baseline_decompose(edges, h, budget_s: float | None = None) -> BaselineResult:
-    """Run Algorithm 1; returns the h-trussness of every edge.
+def baseline_decompose(edges, h, budget_s: float | None = None) -> dict:
+    """Run Algorithm 1; returns the h-trussness of every edge as a
+    ``{(src, dst): trussness}`` dict.
 
     ``edges`` is any input :func:`~repro.graph.edges.edge_array` accepts.
-    ``budget_s`` bounds wall-clock time; on exhaustion the result carries
-    ``trussness=None`` and ``seconds=INF`` (the paper's INF marker).
+    ``budget_s`` bounds wall-clock time: the call raises
+    :class:`TimeoutError` once it has run longer (the paper's INF).
     """
     t0 = time.monotonic()
     edges = edge_array(edges).tolist()
@@ -84,7 +71,8 @@ def baseline_decompose(edges, h, budget_s: float | None = None) -> BaselineResul
         n_peeled += 1
         if budget_s is not None and n_peeled & 15 == 1:  # every 16, incl. first
             if time.monotonic() - t0 > budget_s:
-                return BaselineResult(None, INF, True)
+                raise TimeoutError(
+                    f"Base exceeded its budget of {budget_s} s (paper: INF)")
         # Vicinity whose supports may drop — measured before deletion.
         affected_vertices = _ball(adj, (u, v), h - 1) if h > 1 else {u, v}
         adj[u].discard(v)
@@ -101,4 +89,4 @@ def baseline_decompose(edges, h, budget_s: float | None = None) -> BaselineResul
                     bins[cur].discard(ep)
                     bins.setdefault(new, set()).add(ep)
                     key[ep] = new
-    return BaselineResult(trussness, time.monotonic() - t0, False)
+    return trussness

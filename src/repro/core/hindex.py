@@ -16,23 +16,24 @@ from pyspark.sql import DataFrame, Window
 from pyspark.sql import functions as F
 
 
-def h_index_agg(values: DataFrame, key: str = "eid", val: str = "value") -> DataFrame:
-    """Per-key Hirsch index: ``(key, hindex)``.
+def h_index_agg(values: DataFrame) -> DataFrame:
+    """Per-edge Hirsch index of ``values`` (columns ``eid, value``):
+    ``(eid, hindex)``.
 
     ℋ of a multiset is the largest ``y`` with at least ``y`` members
-    ``>= y``; ranking each key's values descending, that is
-    ``max(min(value, rank))`` — one window + one aggregation. Keys with
+    ``>= y``; ranking each edge's values descending, that is
+    ``max(min(value, rank))`` — one window + one aggregation. Edges with
     no rows are absent (ℋ(∅)=0); callers left-join and fill 0.
     """
-    w = Window.partitionBy(key).orderBy(F.col(val).desc())
+    w = Window.partitionBy("eid").orderBy(F.col("value").desc())
     return (
         values.withColumn("rn", F.row_number().over(w))
-        .groupBy(key)
-        .agg(F.max(F.least(F.col(val), F.col("rn"))).alias("hindex"))
+        .groupBy("eid")
+        .agg(F.max(F.least(F.col("value"), F.col("rn"))).alias("hindex"))
     )
 
 
-def path_keys(adj_val: DataFrame, h: int, sources: DataFrame | None = None) -> DataFrame:
+def path_keys(adj_val: DataFrame, h: int) -> DataFrame:
     """Bottleneck path keys ``P(a, w)`` (Definition 6) for all pairs
     within ``h`` hops.
 
@@ -42,17 +43,10 @@ def path_keys(adj_val: DataFrame, h: int, sources: DataFrame | None = None) -> D
     min(hval of walk edges)`` — for a max-min objective walks and simple
     paths share the optimum, so ``h - 1`` cumulative relaxation rounds
     (join one more hop, keep the max) are exact.
-
-    ``sources`` (a one-column DataFrame ``a``) restricts the DP to the
-    given source vertices — the hook the Paral+ frontier pruning uses to
-    skip work for converged regions.
     """
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
-    base = adj_val
-    if sources is not None:
-        base = adj_val.join(sources.select("a").distinct(), on="a")
-    p = base.select("a", F.col("b").alias("w"), F.col("hval").alias("pkey"))
+    p = adj_val.select("a", F.col("b").alias("w"), F.col("hval").alias("pkey"))
     step = adj_val.select(
         F.col("a").alias("w"), F.col("b").alias("w2"), F.col("hval").alias("step_hval")
     )

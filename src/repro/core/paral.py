@@ -1,24 +1,24 @@
 """Algorithm 2 — the parallel H-index decomposition framework.
 
-One function, four paper variants (DESIGN.md §3):
+:func:`iterate` runs four of the paper's variants, named as
+:func:`repro.core.api.decompose` names them (DESIGN.md §3):
 
-* **Paral**   — ``parallel_decompose(spark, edges, h)``: synchronous
-  (Jacobi) sweeps; every sweep recomputes ``H^(n)`` for all edges from
-  the ``H^(n-1)`` snapshot until nothing changes (Theorems 1-2 guarantee
-  monotone convergence to ``t(e,h) - 2``).
-* **Single**  — ``parallelism=1``: the same rounds with one kernel
-  task — the paper's one-thread configuration.
-* **Asyn**    — ``asynchronous=True``: chromatic (Gauss–Seidel) sweeps.
-  The edges are split into 4 blocks by ascending initial h-support, and
-  each block reads the values the blocks before it wrote in the same
-  sweep (substitution 2 — the BSP rendering of the paper's asynchronous
-  update; §4.1 proves any such mixed schedule still converges to the
-  same fixpoint).
-* **Paral+**  — ``pruning=True``: Lemma 4. A sweep recomputes only the
-  edges that a drop in the sweep before crossed
+* ``paral``  — synchronous (Jacobi) sweeps; every sweep recomputes
+  ``H^(n)`` for all edges from the ``H^(n-1)`` snapshot until nothing
+  changes (Theorems 1-2 guarantee monotone convergence to
+  ``t(e,h) - 2``).
+* ``single`` — the same rounds with one kernel task, the paper's
+  one-thread configuration.
+* ``asyn``   — chromatic (Gauss–Seidel) sweeps. The edges are split into
+  4 blocks by ascending initial h-support, and each block reads the
+  values the blocks before it wrote in the same sweep (substitution 2 —
+  the BSP rendering of the paper's asynchronous update; §4.1 proves any
+  such mixed schedule still converges to the same fixpoint).
+* ``paral+`` — synchronous sweeps with Lemma 4's pruning. A sweep
+  recomputes only the edges that a drop in the sweep before crossed
   (:func:`~repro.core.kernel.frontier_mask`, substitution 3); the others
-  would keep their values. ``repro.core.api`` runs it on synchronous
-  sweeps.
+  would keep their values. The paper's Paral+ prunes Asyn's sweeps
+  instead (DESIGN.md §3).
 
 Each call collects the canonical edge list on the driver, relabels the
 vertices densely to ``0..n-1`` and builds their CSR adjacency. It then
@@ -72,24 +72,29 @@ class SweepStats:
 
 @dataclass
 class DecomposeResult:
-    """Decomposition output: the trussness table, the sweep count the
-    paper's Figure 6 reports, (in trace mode) the per-sweep H-value
-    tables of Figure 3, and one :class:`SweepStats` per sweep.
+    """Decomposition output: the trussness table, (in trace mode) the
+    per-sweep H-value tables of Figure 3, and one :class:`SweepStats`
+    per sweep.
 
     ``launch_s`` is the seconds from the start of the call's Spark job
     until every kernel task holds the CSR, and ``support_s`` the seconds
     of pass 0, the h-support round. Both are 0.0 for Base."""
 
     trussness: DataFrame
-    sweeps: int
     trace: list[pd.DataFrame] = field(default_factory=list)
     stats: list[SweepStats] = field(default_factory=list)
     launch_s: float = 0.0
     support_s: float = 0.0
 
+    @property
+    def sweeps(self) -> int:
+        """The sweep count the paper's Figure 6 reports; 0 for Base."""
+        return len(self.stats)
+
 
 class NotConvergedError(RuntimeError):
-    """``max_sweeps`` ran out before a sweep left every H-value as it was."""
+    """:data:`MAX_SWEEPS` sweeps ran out before one left every H-value
+    as it was."""
 
     def __init__(self, sweeps: int, last: SweepStats):
         super().__init__(
@@ -100,8 +105,11 @@ class NotConvergedError(RuntimeError):
         self.last = last
 
 
-_RESULT_SCHEMA = "src long, dst long, trussness long"
+RESULT_SCHEMA = "src long, dst long, trussness long"
 _ASYN_BLOCKS = 4  # Asyn's blocks per sweep
+
+# Sweeps a call runs before it raises NotConvergedError.
+MAX_SWEEPS = 10_000
 
 # How often the driver, while it waits on the workers, checks whether
 # their Spark job has ended.
@@ -114,39 +122,39 @@ def worker_count(sc: SparkContext, parallelism: int | None) -> int:
     return min(parallelism or sc.defaultParallelism, sc.defaultParallelism)
 
 
-def parallel_decompose(
+def iterate(
     spark: SparkSession,
     edges,
     h: int,
+    variant: str,
     *,
-    asynchronous: bool = False,
-    pruning: bool = False,
     parallelism: int | None = None,
     trace: bool = False,
-    max_sweeps: int = 10_000,
 ) -> DecomposeResult:
     """Compute the h-trussness of every edge (columns
-    ``src, dst, trussness``) with the selected variant.
+    ``src, dst, trussness``) with ``variant``, one of ``paral``,
+    ``single``, ``asyn`` and ``paral+``; :func:`repro.core.api.decompose`
+    checks the name.
 
     ``parallelism`` is the number of kernel tasks, each computing one
     contiguous chunk of every pass's edge ids; ``None`` means
-    ``sparkContext.defaultParallelism``. The tasks form one barrier
-    stage, which needs all of them running at once, so the count is
-    capped at ``defaultParallelism`` (the task slots of a local master)
-    and at the number of edges.
+    ``sparkContext.defaultParallelism``, and ``single`` runs one. The
+    tasks form one barrier stage, which needs all of them running at
+    once, so the count is capped at ``defaultParallelism`` (the task
+    slots of a local master) and at the number of edges.
 
-    Raises :class:`NotConvergedError` if ``max_sweeps`` sweeps leave
+    Raises :class:`NotConvergedError` if :data:`MAX_SWEEPS` sweeps leave
     some H-value still changing.
     """
-    if h < 1:
-        raise ValueError(f"h must be >= 1, got {h}")
     pairs = edge_array(edges)
     if not len(pairs):
-        return DecomposeResult(spark.createDataFrame([], _RESULT_SCHEMA), 0)
+        return DecomposeResult(spark.createDataFrame([], RESULT_SCHEMA))
     vertex_ids, dense = np.unique(pairs, return_inverse=True)
     dense = dense.reshape(-1, 2)
     csr = build_csr(dense[:, 0], dense[:, 1], len(vertex_ids))
     m = csr.m
+    if variant == "single":
+        parallelism = 1
     k = min(worker_count(spark.sparkContext, parallelism), m)
 
     start = time.perf_counter()
@@ -160,21 +168,21 @@ def parallel_decompose(
         # Asynchronous (chromatic) schedule: blocks in ascending initial
         # support, so decreases propagate in peeling order within a sweep.
         blocks = [every]
-        if asynchronous:
+        if variant == "asyn":
             order = np.argsort(state, kind="stable")
             blocks = [np.sort(b) for b in np.array_split(order, _ASYN_BLOCKS)]
 
         traces = [_trace_frame(pairs, state)] if trace else []
         stats = []
         frontier = None  # Paral+: the edges the last sweep's drops may lower
-        for _ in range(max_sweeps):
+        for _ in range(MAX_SWEEPS):
             start, old = time.perf_counter(), state.copy()
             passes = [b if frontier is None else b[frontier[b]] for b in blocks]
             for eids in passes:
                 if len(eids):
                     state[eids] = run(state, eids)
             dropped = int(np.count_nonzero(state < old))
-            if pruning:
+            if variant == "paral+":
                 frontier = frontier_mask(csr, old, state, h)
             stats.append(SweepStats(sum(map(len, passes)), dropped,
                                     time.perf_counter() - start))
@@ -189,8 +197,8 @@ def parallel_decompose(
         run(None)
         out = pd.DataFrame({"src": pairs[:, 0], "dst": pairs[:, 1],
                             "trussness": state + 2})
-        table = spark.createDataFrame(out, _RESULT_SCHEMA)
-    return DecomposeResult(table, len(stats), traces, stats, launch_s, support_s)
+        table = spark.createDataFrame(out, RESULT_SCHEMA)
+    return DecomposeResult(table, traces, stats, launch_s, support_s)
 
 
 @contextmanager

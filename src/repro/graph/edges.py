@@ -13,26 +13,38 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
+from pyspark.sql.types import IntegralType
 
 _MAX_VERTEX = (1 << 32) - 1
 _TOO_BIG = "vertex ids must fit in 32 bits for eid packing"
 
 
 def _endpoints(edges: DataFrame) -> DataFrame:
-    """The first two columns of a Spark edge table as ``u, v: long``."""
-    c0, c1 = edges.columns[:2]
-    return edges.select(
-        F.col(c0).cast("long").alias("u"), F.col(c1).cast("long").alias("v")
-    )
+    """The two integer columns of a Spark edge table as ``u, v: long``."""
+    if len(edges.columns) != 2:
+        raise ValueError(f"an edge table has 2 columns, got {edges.columns}")
+    for f in edges.schema.fields:
+        if not isinstance(f.dataType, IntegralType):
+            raise ValueError(f"vertex ids must be integers; column {f.name!r} "
+                             f"is {f.dataType.simpleString()}")
+    return edges.toDF("u", "v").select(F.col("u").cast("long"),
+                                       F.col("v").cast("long"))
 
 
 def _local_array(edges) -> np.ndarray:
-    """An ``(m, 2)`` int64 array from a pair list, ndarray or pandas frame."""
-    if isinstance(edges, pd.DataFrame):
-        arr = edges.iloc[:, :2].to_numpy()
-    else:
-        arr = np.asarray(list(edges) if not isinstance(edges, np.ndarray) else edges)
-    return arr.reshape(-1, 2).astype(np.int64)
+    """An ``(m, 2)`` int64 array from a pair list, ndarray or pandas
+    frame, or a :class:`ValueError` if ``edges`` is not ``m`` pairs of
+    integers (an empty input is the empty graph)."""
+    arr = np.asarray(edges.to_numpy() if isinstance(edges, pd.DataFrame)
+                     else edges if isinstance(edges, np.ndarray) else list(edges))
+    if arr.size == 0:
+        return np.empty((0, 2), dtype=np.int64)
+    if arr.ndim != 2 or arr.shape[1] != 2:
+        raise ValueError(f"edges must have shape (m, 2), got {arr.shape}")
+    if not np.issubdtype(arr.dtype, np.integer):
+        raise ValueError(f"vertex ids must be integers, got {arr.dtype} "
+                         "(a Spark table with null ids reads as float64)")
+    return arr.astype(np.int64)
 
 
 def edge_array(edges) -> np.ndarray:
@@ -42,9 +54,8 @@ def edge_array(edges) -> np.ndarray:
     driver (one Spark job); vertex ids may use all 64 bits.
     """
     if isinstance(edges, DataFrame):
-        arr = _endpoints(edges).dropna().toPandas().to_numpy(dtype=np.int64)
-    else:
-        arr = _local_array(edges)
+        edges = _endpoints(edges).toPandas()
+    arr = _local_array(edges)
     arr = arr[arr[:, 0] != arr[:, 1]]
     return np.unique(np.sort(arr, axis=1), axis=0)
 
@@ -53,9 +64,10 @@ def edges_df(spark: SparkSession, edges) -> DataFrame:
     """Build the canonical edge DataFrame from an edge list.
 
     ``edges`` may be a list of ``(u, v)`` pairs, an ``(m, 2)`` ndarray, a
-    pandas DataFrame with two columns, or an existing Spark DataFrame
-    whose first two columns are the endpoints. Canonicalization happens
-    in the dataflow, so an uncanonical Spark input is fine.
+    pandas DataFrame with two columns, or a Spark DataFrame with two
+    integer columns. Any other shape, or ids that are not integers,
+    raise :class:`ValueError`. Canonicalization happens in the dataflow,
+    so an uncanonical Spark input is fine.
     """
     if isinstance(edges, DataFrame):
         raw = _endpoints(edges)

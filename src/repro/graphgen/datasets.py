@@ -42,10 +42,10 @@ DATASETS = {
 }
 
 _FAMILIES = {
-    "powerlaw": lambda n, m, seed: powerlaw_configuration(n, m, seed=seed),
-    "er": lambda n, m, seed: erdos_renyi(n, m, seed=seed),
-    "rmat": lambda n, m, seed: rmat(n, m, seed=seed),
-    "pa": lambda n, m, seed: preferential_attachment(n, m, seed=seed),
+    "powerlaw": powerlaw_configuration,
+    "er": erdos_renyi,
+    "rmat": rmat,
+    "pa": preferential_attachment,
 }
 
 

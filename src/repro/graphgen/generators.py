@@ -9,6 +9,11 @@ is dropped by a uniform subsample, so no vertex range is favoured.
 """
 import numpy as np
 
+# Power-law exponent of powerlaw_configuration's degree sequence.
+GAMMA = 2.5
+# R-MAT's quadrant probabilities (a, b, c, d), the Graph500 values.
+RMAT_PROBS = (0.57, 0.19, 0.19, 0.05)
+
 
 def _canonicalize(g: np.random.Generator, src: np.ndarray, dst: np.ndarray,
                   m: int) -> np.ndarray:
@@ -35,18 +40,16 @@ def erdos_renyi(n: int, m: int, seed: int = 0) -> np.ndarray:
     return _canonicalize(g, src, dst, m)
 
 
-def powerlaw_configuration(
-    n: int, m: int, gamma: float = 2.5, seed: int = 0
-) -> np.ndarray:
+def powerlaw_configuration(n: int, m: int, seed: int = 0) -> np.ndarray:
     """Configuration-model graph with a power-law degree sequence.
 
-    Stubs are drawn with probability ∝ rank^(-1/(gamma-1)) (the inverse
+    Stubs are drawn with probability ∝ rank^(-1/(GAMMA-1)) (the inverse
     CDF of a power law), paired uniformly at random, then simplified.
     Models protein-interaction-style graphs (heavy skew, low density).
     """
     g = np.random.default_rng(seed)
     ranks = np.arange(1, n + 1, dtype=np.float64)
-    w = ranks ** (-1.0 / (gamma - 1.0))
+    w = ranks ** (-1.0 / (GAMMA - 1.0))
     w /= w.sum()
     k = int(m * 1.35) + 16
     src = g.choice(n, size=k, p=w)
@@ -54,28 +57,18 @@ def powerlaw_configuration(
     return _canonicalize(g, src, dst, m)
 
 
-def rmat(
-    n: int,
-    m: int,
-    *,
-    a: float = 0.57,
-    b: float = 0.19,
-    c: float = 0.19,
-    seed: int = 0,
-) -> np.ndarray:
+def rmat(n: int, m: int, seed: int = 0) -> np.ndarray:
     """R-MAT / Kronecker-style generator (web/co-purchase-like graphs).
 
     Each edge picks one quadrant per bit level with probabilities
-    (a, b, c, d); vertices outside ``[0, n)`` are redrawn by modulo.
+    :data:`RMAT_PROBS`; vertices outside ``[0, n)`` are redrawn by modulo.
     """
     g = np.random.default_rng(seed)
     scale = max(1, int(np.ceil(np.log2(max(n, 2)))))
     k = int(m * 1.4) + 16
     src = np.zeros(k, dtype=np.int64)
     dst = np.zeros(k, dtype=np.int64)
-    d = 1.0 - a - b - c
-    probs = np.array([a, b, c, d])
-    cum = np.cumsum(probs)
+    cum = np.cumsum(RMAT_PROBS)
     for _ in range(scale):
         r = g.random(k)
         quad = np.searchsorted(cum, r)

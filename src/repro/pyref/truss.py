@@ -86,7 +86,11 @@ def _path_keys(adj, source, h, values, targets=None):
     return best
 
 
-def serial_hindex_decompose(edges, h, asynchronous=False, max_sweeps=100_000):
+# Sweeps serial_hindex_decompose runs before it gives up.
+MAX_SWEEPS = 100_000
+
+
+def serial_hindex_decompose(edges, h, asynchronous=False):
     """The paper's H-index fixpoint, serially.
 
     Synchronous mode is Algorithm 2 run on one thread: every sweep
@@ -110,7 +114,7 @@ def serial_hindex_decompose(edges, h, asynchronous=False, max_sweeps=100_000):
     hval = {e: len(delta[e]) for e in edges}
     order = sorted(edges, key=lambda e: (hval[e], e))
     sweeps = 0
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         changed = False
         source = hval if asynchronous else dict(hval)
         new = hval if asynchronous else {}

@@ -1,6 +1,9 @@
 """Tests for the `repro.core.api.decompose` front door."""
+import inspect
+
 import pytest
 
+import repro.core
 from repro.core import decompose
 from repro.core.api import VARIANTS
 from repro.pyref import decompose_peeling
@@ -23,6 +26,11 @@ class TestDecomposeApi:
         with pytest.raises(ValueError, match="unknown variant"):
             decompose(sparkf, SMALL_GRAPHS["triangle"], 2, variant="bogus")
 
+    def test_h_below_one_raises(self, sparkf):
+        for variant in VARIANTS:
+            with pytest.raises(ValueError, match=">= 1"):
+                decompose(sparkf, SMALL_GRAPHS["triangle"], 0, variant)
+
     def test_base_timeout_raises(self, sparkf):
         with pytest.raises(TimeoutError, match="INF"):
             decompose(
@@ -40,3 +48,20 @@ class TestDecomposeApi:
         )
         assert len(res.trace) == res.sweeps + 1
 
+
+class TestOptionSurface:
+    """``decompose`` is the one entry point, and these are its options:
+    a new knob changes this test."""
+
+    def test_decompose_keywords(self):
+        params = inspect.signature(decompose).parameters
+        assert list(params) == ["spark", "edges", "h", "variant",
+                                "parallelism", "trace", "budget_s"]
+        assert [p for p in params.values()
+                if p.kind is p.KEYWORD_ONLY] == list(params.values())[4:]
+
+    def test_package_exports(self):
+        public = {name for name, value in vars(repro.core).items()
+                  if not name.startswith("_") and not inspect.ismodule(value)}
+        assert public == set(repro.core.__all__) == {
+            "decompose", "DecomposeResult", "NotConvergedError"}

@@ -2,12 +2,12 @@
 import pytest
 
 from repro.bench import (
+    INF,
     fmt_seconds,
     markdown_table,
     run_cell,
     table1,
 )
-from repro.core.baseline import INF
 from repro.graphgen import DATASETS
 
 

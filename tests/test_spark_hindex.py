@@ -3,7 +3,6 @@ import random
 
 import pandas as pd
 import pytest
-from pyspark.sql import functions as F
 
 from repro.core.hindex import h_index_agg, path_keys
 from repro.graph.edges import adjacency_df, edges_df
@@ -39,12 +38,6 @@ class TestHIndexAgg:
             pd.DataFrame({"eid": [1, 1, 1], "value": [0, 0, 0]})
         )
         assert h_index_agg(df).collect()[0].hindex == 0
-
-    def test_custom_column_names(self, sparkf):
-        df = sparkf.createDataFrame(
-            pd.DataFrame({"k": [1, 1], "s": [2, 2]})
-        )
-        assert h_index_agg(df, key="k", val="s").collect()[0].hindex == 2
 
 
 def _adj_val(sparkf, edges, values):
@@ -87,15 +80,6 @@ class TestPathKeys:
         df = path_keys(_adj_val(sparkf, edges, values), 2)
         got = {(r.a, r.w): r.pkey for r in df.collect()}
         assert got == _ref_all_path_keys(edges, 2, values)
-
-    def test_source_restriction(self, sparkf):
-        edges = canonical_edges(SMALL_GRAPHS["toy"])
-        values = {e: 3 for e in edges}
-        sources = edges_df(sparkf, edges).select(
-            F.lit(0).alias("a")
-        ).distinct()
-        df = path_keys(_adj_val(sparkf, edges, values), 2, sources=sources)
-        assert {r.a for r in df.collect()} == {0}
 
     def test_longer_path_can_beat_direct_edge(self, sparkf):
         """max-min semantics: a 2-hop detour with high values must win

@@ -17,8 +17,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import paral
-from repro.core.api import decompose
-from repro.core.paral import NotConvergedError, parallel_decompose
+from repro.core.api import VARIANTS, decompose
+from repro.core.paral import NotConvergedError
 from repro.graphgen import dataset_edges
 from repro.oracle import assert_equivalent
 from repro.pyref import (
@@ -80,9 +80,8 @@ def _within(seconds, fn, *args, **kwargs):
 @pytest.fixture(scope="module")
 def toy_paral(sparkf):
     """One traced Paral run on the toy graph, shared by several tests."""
-    return parallel_decompose(
-        sparkf, SMALL_GRAPHS["toy"], 2, trace=True, parallelism=4
-    )
+    return decompose(sparkf, SMALL_GRAPHS["toy"], 2, "paral", trace=True,
+                     parallelism=4)
 
 
 class TestParalCorrectness:
@@ -90,18 +89,18 @@ class TestParalCorrectness:
     @pytest.mark.parametrize("h", [1, 2])
     def test_matches_peeling_catalog(self, sparkf, name, h):
         edges = SMALL_GRAPHS[name]
-        res = parallel_decompose(sparkf, edges, h, parallelism=4)
+        res = decompose(sparkf, edges, h, "paral", parallelism=4)
         assert _as_dict(res.trussness) == decompose_peeling(edges, h)
 
     @pytest.mark.parametrize("seed", [0, 1])
     @pytest.mark.parametrize("h", [2, 3])
     def test_matches_peeling_random(self, sparkf, seed, h):
         edges = random_graph(seed)
-        res = parallel_decompose(sparkf, edges, h, parallelism=4)
+        res = decompose(sparkf, edges, h, "paral", parallelism=4)
         assert _as_dict(res.trussness) == decompose_peeling(edges, h)
 
     def test_empty_graph(self, sparkf):
-        res = parallel_decompose(sparkf, [], 2)
+        res = decompose(sparkf, [], 2, "paral")
         assert res.trussness.count() == 0
         assert res.sweeps == 0
 
@@ -111,11 +110,12 @@ class TestParalCorrectness:
         big = 2**32 + 5
         edges = [(1, big), (2, 5), (1, 2), (2, big), (5, big), (1, 5)]
         raw = sparkf.createDataFrame(edges, "u long, v long")
-        res = parallel_decompose(sparkf, raw, 2, parallelism=2)
+        res = decompose(sparkf, raw, 2, "paral", parallelism=2)
         assert _as_dict(res.trussness) == decompose_peeling(edges, 2)
 
     def test_zero_support_edges_get_trussness_2(self, sparkf):
-        res = parallel_decompose(sparkf, SMALL_GRAPHS["single_edge"], 2, parallelism=2)
+        res = decompose(sparkf, SMALL_GRAPHS["single_edge"], 2, "paral",
+                        parallelism=2)
         assert _as_dict(res.trussness) == {(3, 7): 2}
 
     def test_result_via_duckdb_oracle(self, sparkf, toy_paral):
@@ -135,39 +135,33 @@ class TestVariants:
     @pytest.mark.parametrize("h", [1, 2])
     def test_asyn_matches_peeling(self, sparkf, h):
         edges = SMALL_GRAPHS["toy"]
-        res = parallel_decompose(sparkf, edges, h, asynchronous=True, parallelism=4)
+        res = decompose(sparkf, edges, h, "asyn", parallelism=4)
         assert _as_dict(res.trussness) == decompose_peeling(edges, h)
 
     @pytest.mark.parametrize("h", [1, 2])
     def test_paralplus_matches_peeling(self, sparkf, h):
         edges = SMALL_GRAPHS["toy"]
-        res = parallel_decompose(
-            sparkf, edges, h, asynchronous=True, pruning=True, parallelism=4
-        )
+        res = decompose(sparkf, edges, h, "paral+", parallelism=4)
         assert _as_dict(res.trussness) == decompose_peeling(edges, h)
 
     @pytest.mark.parametrize("seed", [2])
     def test_all_variants_agree_random(self, sparkf, seed):
         edges = random_graph(seed)
         expected = decompose_peeling(edges, 2)
-        for kwargs in (
-            {},
-            {"asynchronous": True},
-            {"asynchronous": True, "pruning": True},
-            {"pruning": True},
-        ):
-            res = parallel_decompose(sparkf, edges, 2, parallelism=4, **kwargs)
-            assert _as_dict(res.trussness) == expected, f"variant {kwargs}"
+        for variant in VARIANTS:
+            res = decompose(sparkf, edges, 2, variant, parallelism=4)
+            assert _as_dict(res.trussness) == expected, variant
 
     def test_single_parallelism_one(self, sparkf):
         edges = SMALL_GRAPHS["bowtie"]
-        res = parallel_decompose(sparkf, edges, 2, parallelism=1)
+        res = decompose(sparkf, edges, 2, "single")
         assert _as_dict(res.trussness) == decompose_peeling(edges, 2)
 
     def test_parallelism_above_task_slots(self, sparkf):
         """16 tasks on a 4-slot master: capped, not waiting for slots."""
         edges = random_graph(0)
-        res = _within(PROMPT_S, parallel_decompose, sparkf, edges, 2, parallelism=16)
+        res = _within(PROMPT_S, decompose, sparkf, edges, 2, "paral",
+                      parallelism=16)
         assert _as_dict(res.trussness) == decompose_peeling(edges, 2)
 
     @pytest.mark.parametrize("variant", ["paral+", "asyn"])
@@ -182,10 +176,18 @@ class TestVariants:
         if variant == "paral+":
             assert [s.recomputed for s in res.stats] == [12, 5, 2, 4]
 
-    def test_parallelism_restores_conf(self, sparkf):
-        before = sparkf.conf.get("spark.sql.shuffle.partitions")
-        parallel_decompose(sparkf, SMALL_GRAPHS["triangle"], 1, parallelism=2)
-        assert sparkf.conf.get("spark.sql.shuffle.partitions") == before
+    def test_calls_leave_session_conf_unchanged(self, sparkf):
+        """A call of any variant sets no SparkContext or SQL conf of the
+        caller's session."""
+        sc = sparkf.sparkContext
+
+        def conf():
+            return sorted(sc.getConf().getAll()), sparkf.conf.getAll
+
+        before = conf()
+        for variant in VARIANTS:
+            decompose(sparkf, SMALL_GRAPHS["toy"], 2, variant, parallelism=2)
+            assert conf() == before, variant
 
 
 class TestSweepsAndTrace:
@@ -194,9 +196,7 @@ class TestSweepsAndTrace:
         assert toy_paral.sweeps == ref_sweeps == 4
 
     def test_asyn_needs_fewer_or_equal_sweeps(self, sparkf, toy_paral):
-        asyn = parallel_decompose(
-            sparkf, SMALL_GRAPHS["toy"], 2, asynchronous=True, parallelism=4
-        )
+        asyn = decompose(sparkf, SMALL_GRAPHS["toy"], 2, "asyn", parallelism=4)
         assert asyn.sweeps <= toy_paral.sweeps
         assert asyn.sweeps < toy_paral.sweeps  # strict on the toy (3 < 4)
 
@@ -241,8 +241,8 @@ class TestBenchScale:
 
     @pytest.fixture(scope="class")
     def runs(self, sparkf, yt):
-        return {pruning: parallel_decompose(sparkf, yt[0], 2, pruning=pruning,
-                                            parallelism=4)
+        return {pruning: decompose(sparkf, yt[0], 2, "paral+" if pruning else "paral",
+                                   parallelism=4)
                 for pruning in (False, True)}
 
     @pytest.mark.parametrize("pruning", [False, True])
@@ -265,8 +265,8 @@ class TestBenchScale:
         """§4.3 and Figure 6: the asynchronous schedule reaches the same
         trussness in at most Paral's number of sweeps."""
         edges = dataset_edges(key)
-        paral = parallel_decompose(sparkf, edges, 2, parallelism=4)
-        asyn = parallel_decompose(sparkf, edges, 2, asynchronous=True, parallelism=4)
+        paral = decompose(sparkf, edges, 2, "paral", parallelism=4)
+        asyn = decompose(sparkf, edges, 2, "asyn", parallelism=4)
         assert _as_dict(asyn.trussness) == _as_dict(paral.trussness)
         assert 1 <= asyn.sweeps <= paral.sweeps
 
@@ -277,7 +277,7 @@ class TestKernelWorkers:
     TOY = SMALL_GRAPHS["toy"]
 
     def _assert_toy_right(self, sparkf):
-        res = parallel_decompose(sparkf, self.TOY, 2, parallelism=4)
+        res = decompose(sparkf, self.TOY, 2, "paral", parallelism=4)
         assert _as_dict(res.trussness) == decompose_peeling(self.TOY, 2)
 
     def test_one_job_in_callers_group(self, sparkf):
@@ -286,7 +286,7 @@ class TestKernelWorkers:
         sc = sparkf.sparkContext
         sc.setJobGroup("paral-test-group", "one call")
         try:
-            res = parallel_decompose(sparkf, self.TOY, 2, parallelism=4)
+            res = decompose(sparkf, self.TOY, 2, "paral", parallelism=4)
         finally:
             sc.setLocalProperty("spark.jobGroup.id", None)
         assert res.sweeps == 4
@@ -308,7 +308,8 @@ class TestKernelWorkers:
 
         monkeypatch.setattr(paral, where, broken)
         with _no_leftovers(), pytest.raises(Exception, match="injected task failure"):
-            _within(PROMPT_S, parallel_decompose, sparkf, self.TOY, 2, parallelism=4)
+            _within(PROMPT_S, decompose, sparkf, self.TOY, 2, "paral",
+                    parallelism=4)
         monkeypatch.undo()
         self._assert_toy_right(sparkf)
 
@@ -332,7 +333,7 @@ class TestKernelWorkers:
     def test_setup_timings(self, sparkf):
         """``launch_s``, ``support_s`` and the sweeps fit inside the call."""
         start = time.perf_counter()
-        res = parallel_decompose(sparkf, self.TOY, 2, parallelism=4)
+        res = decompose(sparkf, self.TOY, 2, "paral", parallelism=4)
         wall = time.perf_counter() - start
         assert res.launch_s > 0 and res.support_s > 0
         assert res.launch_s + res.support_s + sum(s.seconds for s in res.stats) <= wall
@@ -382,13 +383,15 @@ class TestKernelWorkers:
         assert (stock.__module__, stock.__qualname__) == (
             "zipimport", "zipimporter.invalidate_caches")
 
-    def test_not_converged(self, sparkf):
+    def test_not_converged(self, sparkf, monkeypatch):
         """The toy graph at h=2 needs 4 sweeps."""
         self._assert_toy_right(sparkf)
+        monkeypatch.setattr(paral, "MAX_SWEEPS", 1)
         with _no_leftovers(), pytest.raises(NotConvergedError) as err:
-            parallel_decompose(sparkf, self.TOY, 2, parallelism=4, max_sweeps=1)
+            decompose(sparkf, self.TOY, 2, "paral", parallelism=4)
         assert err.value.sweeps == 1
         assert err.value.last.dropped > 0
+        monkeypatch.undo()
         self._assert_toy_right(sparkf)
 
 
@@ -404,18 +407,13 @@ class TestProperties:
     @given(edges=_GRAPHS, h=st.integers(1, 3))
     def test_variants_match_peeling(self, sparkf, edges, h):
         expected = decompose_peeling(edges, h)
-        for kwargs in (
-            {},
-            {"asynchronous": True},
-            {"pruning": True},
-            {"asynchronous": True, "pruning": True},
-        ):
-            res = parallel_decompose(sparkf, edges, h, parallelism=4, **kwargs)
-            assert _as_dict(res.trussness) == expected, f"variant {kwargs}"
+        for variant in VARIANTS:
+            res = decompose(sparkf, edges, h, variant, parallelism=4)
+            assert _as_dict(res.trussness) == expected, variant
 
     @settings(max_examples=10, deadline=None)
     @given(edges=_GRAPHS, h=st.integers(1, 3))
     def test_trace_is_monotone(self, sparkf, edges, h):
-        frames = parallel_decompose(sparkf, edges, h, parallelism=4, trace=True).trace
+        frames = decompose(sparkf, edges, h, "paral", parallelism=4, trace=True).trace
         for a, b in zip(frames, frames[1:]):
             assert (b.hval <= a.hval).all()
