@@ -9,9 +9,9 @@ Usage::
 A flag left out keeps each table's own default (see ``repro.bench``):
 T3 and T5 run all six stand-ins at h ∈ {2, 3}, T4 runs YT, VL and GA at
 h=2, and T2 runs the toy graph at h=2. ``--parallelism`` sets T4's
-levels, ``--budget`` Base's seconds per T3 cell before it is reported
-INF, and ``--scale`` the stand-ins' size (default: each one's bench
-scale).
+levels, ``--budget`` the seconds Base may take per T3 cell, and the
+serial per-edge schedule per T5 cell, before the cell is reported INF,
+and ``--scale`` the stand-ins' size (default: each one's bench scale).
 """
 import argparse
 
@@ -47,7 +47,8 @@ def run(spark, argv=None):
                           budget_s=args.budget, scale=args.scale),
         4: lambda: table4(spark, args.datasets, args.h_values, args.parallelism,
                           scale=args.scale),
-        5: lambda: table5(spark, args.datasets, args.h_values, scale=args.scale),
+        5: lambda: table5(spark, args.datasets, args.h_values,
+                          budget_s=args.budget, scale=args.scale),
     }
     if unknown := set(args.tables) - tables.keys():
         ap.error(f"no table {sorted(unknown)}; the tables are 1-5")

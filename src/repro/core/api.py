@@ -6,8 +6,8 @@ variant   meaning (paper Section 5.1)
 base      Algorithm 1 serial peeling (driver-side Python)
 single    Paral at parallelism 1 (the 1-thread run)
 paral     synchronous parallel framework (Algorithm 2)
-asyn      Paral + asynchronous (chromatic) update
-paral+    Paral + Lemma-4 pruning (paper: Asyn + pruning)
+asyn      Paral + asynchronous update (in place within each task)
+paral+    Asyn + Lemma-4 pruning
 ========  =====================================================
 
 Base is :func:`repro.core.baseline.baseline_decompose`; the other four

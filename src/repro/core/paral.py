@@ -7,31 +7,33 @@
   ``H^(n)`` for all edges from the ``H^(n-1)`` snapshot until nothing
   changes (Theorems 1-2 guarantee monotone convergence to
   ``t(e,h) - 2``).
-* ``single`` — the same rounds with one kernel task, the paper's
+* ``single`` — the same sweeps with one kernel task, the paper's
   one-thread configuration.
-* ``asyn``   — chromatic (Gauss–Seidel) sweeps. The edges are split into
-  4 blocks by ascending initial h-support, and each block reads the
-  values the blocks before it wrote in the same sweep (substitution 2 —
-  the BSP rendering of the paper's asynchronous update; §4.1 proves any
-  such mixed schedule still converges to the same fixpoint).
-* ``paral+`` — synchronous sweeps with Lemma 4's pruning. A sweep
+* ``asyn``   — asynchronous sweeps (§4.3). Each task updates its own
+  edges in place, in :data:`_ASYN_BLOCKS` sub-blocks by ascending
+  ``H^(0)``, so every sub-block reads the values written before it in
+  the same sweep: Gauss–Seidel within a task, Jacobi between tasks
+  (substitution 2). §4.1 proves any such mixed schedule converges to
+  the same fixpoint.
+* ``paral+`` — Asyn with Lemma 4's pruning, as in the paper. A sweep
   recomputes only the edges that a drop in the sweep before crossed
-  (:func:`~repro.core.kernel.frontier_mask`, substitution 3); the others
-  would keep their values. The paper's Paral+ prunes Asyn's sweeps
-  instead (DESIGN.md §3).
+  (:func:`~repro.core.kernel.frontier_mask` of the sweep's start and
+  end vectors, substitution 3); the others would keep their values.
 
 Each call collects the canonical edge list on the driver, relabels the
 vertices densely to ``0..n-1`` and builds their CSR adjacency. It then
 runs one Spark job for the whole decomposition: a barrier stage of
 ``k`` long-lived, stateless kernel tasks, which connect back to a
-listener on the driver and receive the CSR over that connection. Every
-pass (pass 0, a sweep, an Asyn block) is one message round: the driver
-splits the pass's edge ids into one contiguous chunk per task, sends
-each task the H vector and its chunk, and gets back the chunk's new
-values, computed by :func:`~repro.core.kernel.sweep` — Algorithm 3.
-Pass 0 runs the kernel with every H-value unbounded, which yields the
-h-support ``H^(0)``. The H vector lives on the driver between passes,
-as the paper's threads share it in memory.
+listener on the driver and receive the CSR over that connection. Task
+``i`` owns the ``i``-th range of :func:`owned_edges`, fixed for the
+call. Every pass (pass 0, then one per sweep) is one message round: the
+driver sends each task the H vector and its edges as a list of
+sub-blocks, and the task returns their new values, each sub-block
+computed by :func:`~repro.core.kernel.sweep` — Algorithm 3 — over its
+copy of H after the sub-blocks before it were written. Pass 0 runs the
+kernel with every H-value unbounded and one block per task, which
+yields the h-support ``H^(0)``. The H vector lives on the driver
+between passes, as the paper's threads share it in memory.
 
 Each task first calls :func:`_skip_unchanged_zip_rereads`, so that the
 later tasks of its PySpark worker start without re-reading the zip
@@ -55,6 +57,7 @@ import numpy as np
 import pandas as pd
 from pyspark import InheritableThread, SparkContext
 from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.graph.edges import edge_array
 
@@ -63,7 +66,9 @@ from .kernel import UNBOUNDED, Csr, build_csr, frontier_mask, sweep
 
 @dataclass
 class SweepStats:
-    """One sweep: edges recomputed, edges whose H-value dropped, seconds."""
+    """One sweep, a message round in which each task recomputes each of
+    its edges once (Paral+: those in the frontier): edges recomputed,
+    edges whose H-value dropped, seconds."""
 
     recomputed: int
     dropped: int
@@ -105,8 +110,10 @@ class NotConvergedError(RuntimeError):
         self.last = last
 
 
-RESULT_SCHEMA = "src long, dst long, trussness long"
-_ASYN_BLOCKS = 4  # Asyn's blocks per sweep
+# Built once: a DDL string would be parsed in the JVM on every call.
+RESULT_SCHEMA = StructType([StructField(name, LongType())
+                            for name in ("src", "dst", "trussness")])
+_ASYN_BLOCKS = 4  # sub-blocks per task in Asyn and Paral+
 
 # Sweeps a call runs before it raises NotConvergedError.
 MAX_SWEEPS = 10_000
@@ -120,6 +127,41 @@ def worker_count(sc: SparkContext, parallelism: int | None) -> int:
     """Kernel tasks a call runs: ``parallelism`` (``None`` means
     ``defaultParallelism``), capped at ``defaultParallelism``."""
     return min(parallelism or sc.defaultParallelism, sc.defaultParallelism)
+
+
+def owned_edges(csr: Csr, k: int) -> list[np.ndarray]:
+    """The edge ids each of ``k`` tasks owns, ``1 <= k <= csr.m``: ``k``
+    non-empty contiguous ranges of the edges sorted for locality and cut
+    at equal work.
+
+    Vertices are ranked by degree, descending, ties by id, and edges
+    sorted by ``(lower rank, higher rank)``, so a task's edges share
+    endpoints. An edge's work is ``nd[u] + nd[v]``, where ``nd`` is the
+    sum of a vertex's neighbour degrees: the 2-hop walks
+    :func:`~repro.core.kernel.sweep` expands from it. A cut at equal
+    edge counts puts the hub edges in one task and doubles its kernel
+    time on a power-law graph.
+    """
+    deg = np.diff(csr.indptr)
+    nd = np.bincount(np.repeat(np.arange(csr.n), deg), weights=deg[csr.nbr],
+                     minlength=csr.n)
+    rank = np.empty(csr.n, dtype=np.int64)
+    rank[np.lexsort((np.arange(csr.n), -deg))] = np.arange(csr.n)
+    ru, rv = rank[csr.src], rank[csr.dst]
+    order = np.lexsort((np.maximum(ru, rv), np.minimum(ru, rv)))
+    work = np.cumsum((nd[csr.src] + nd[csr.dst])[order])
+    i = np.arange(1, k)
+    cuts = np.searchsorted(work, work[-1] * i / k)
+    # Strictly increasing within [1, m - 1]: no task is left empty.
+    cuts = np.clip(np.maximum.accumulate(cuts - i), 0, csr.m - k) + i
+    return np.split(order, cuts)
+
+
+def sub_blocks(eids: np.ndarray, h0: np.ndarray) -> list[np.ndarray]:
+    """A task's edges ``eids`` as :data:`_ASYN_BLOCKS` sub-blocks of
+    ascending initial value ``h0`` (ties in ``eids`` order), so drops
+    propagate in peeling order within a sweep."""
+    return np.array_split(eids[np.argsort(h0[eids], kind="stable")], _ASYN_BLOCKS)
 
 
 def iterate(
@@ -136,8 +178,8 @@ def iterate(
     ``single``, ``asyn`` and ``paral+``; :func:`repro.core.api.decompose`
     checks the name.
 
-    ``parallelism`` is the number of kernel tasks, each computing one
-    contiguous chunk of every pass's edge ids; ``None`` means
+    ``parallelism`` is the number of kernel tasks, each owning a fixed
+    range of the edges (:func:`owned_edges`); ``None`` means
     ``sparkContext.defaultParallelism``, and ``single`` runs one. The
     tasks form one barrier stage, which needs all of them running at
     once, so the count is capped at ``defaultParallelism`` (the task
@@ -156,36 +198,33 @@ def iterate(
     if variant == "single":
         parallelism = 1
     k = min(worker_count(spark.sparkContext, parallelism), m)
+    owned = owned_edges(csr, k)
 
     start = time.perf_counter()
     with _kernel_workers(spark.sparkContext, csr, h, k) as run:
         launch_s = time.perf_counter() - start
         # Lines 1-3: H^(0) = h-support.
-        every = np.arange(m)
-        state = run(np.full(m, UNBOUNDED, dtype=np.int64), every)
+        jacobi = [[e] for e in owned]  # one block per task
+        state = run(np.full(m, UNBOUNDED, dtype=np.int64), jacobi)
         support_s = time.perf_counter() - start - launch_s
 
-        # Asynchronous (chromatic) schedule: blocks in ascending initial
-        # support, so decreases propagate in peeling order within a sweep.
-        blocks = [every]
-        if variant == "asyn":
-            order = np.argsort(state, kind="stable")
-            blocks = [np.sort(b) for b in np.array_split(order, _ASYN_BLOCKS)]
+        plan = jacobi
+        if variant in ("asyn", "paral+"):
+            plan = [sub_blocks(e, state) for e in owned]
 
         traces = [_trace_frame(pairs, state)] if trace else []
         stats = []
         frontier = None  # Paral+: the edges the last sweep's drops may lower
         for _ in range(MAX_SWEEPS):
-            start, old = time.perf_counter(), state.copy()
-            passes = [b if frontier is None else b[frontier[b]] for b in blocks]
-            for eids in passes:
-                if len(eids):
-                    state[eids] = run(state, eids)
+            start, old = time.perf_counter(), state
+            passes = plan if frontier is None else [
+                [b[frontier[b]] for b in blocks] for blocks in plan]
+            state = run(old, passes)
             dropped = int(np.count_nonzero(state < old))
             if variant == "paral+":
                 frontier = frontier_mask(csr, old, state, h)
-            stats.append(SweepStats(sum(map(len, passes)), dropped,
-                                    time.perf_counter() - start))
+            stats.append(SweepStats(sum(len(b) for bs in passes for b in bs),
+                                    dropped, time.perf_counter() - start))
             if trace:
                 traces.append(_trace_frame(pairs, state))
             if not dropped:
@@ -206,19 +245,21 @@ def _kernel_workers(sc: SparkContext, csr: Csr, h: int, k: int):
     """Run :func:`sweep` over ``csr`` in ``k`` stateless Spark tasks that
     live as long as the ``with`` block.
 
-    Yields ``run(hval, eids)``, one message round: task ``i`` gets the H
-    vector and the ``i``-th of ``k`` contiguous chunks of ``eids``, and
-    ``run`` returns their new values aligned to ``eids``. ``run(None)``
-    releases the tasks. The tasks form one barrier job, launched from an
-    :class:`~pyspark.InheritableThread` so the caller's job group covers
-    it; they connect back to a listener on ``spark.driver.host`` that
-    admits only holders of a fresh per-call key, receive the CSR and
-    acknowledge it, and the block is entered once every task has. Each
-    task first calls :func:`_skip_unchanged_zip_rereads`, which speeds up
-    the start of later tasks in its worker process. If the job fails,
-    the waiting driver raises its error. On leaving the block the
-    connections are closed (a task not yet released exits on EOF), then
-    the listener, and the job thread is joined.
+    Yields ``run(hval, plan)``, one message round: task ``i`` gets the H
+    vector and ``plan[i]``, a list of edge-id sub-blocks, and updates
+    its copy of H one sub-block at a time (Gauss–Seidel); ``run``
+    returns ``hval`` with every planned edge set to the value its task
+    computed. ``run(None)`` releases the tasks. The tasks form one
+    barrier job, launched from an :class:`~pyspark.InheritableThread` so
+    the caller's job group covers it; they connect back to a listener on
+    ``spark.driver.host`` that admits only holders of a fresh per-call
+    key, receive the CSR and acknowledge it, and the block is entered
+    once every task has. Each task first calls
+    :func:`_skip_unchanged_zip_rereads`, which speeds up the start of
+    later tasks in its worker process. If the job fails, the waiting
+    driver raises its error. On leaving the block the connections are
+    closed (a task not yet released exits on EOF), then the listener,
+    and the job thread is joined.
     """
     # Both ends unpickle what they receive: only holders of this key may
     # connect.
@@ -235,8 +276,10 @@ def _kernel_workers(sc: SparkContext, csr: Csr, h: int, k: int):
             conn.send(None)
             # EOF: the driver gave up on the call and closed the connection.
             while (msg := conn.recv()) is not None:
-                hval, eids = msg
-                conn.send(sweep(graph, hval, eids, h))
+                hval, blocks = msg
+                for eids in blocks:
+                    hval[eids] = sweep(graph, hval, eids, h)
+                conn.send(hval[np.concatenate(blocks)])
         return iter(())
 
     failure, done = [], threading.Event()
@@ -290,11 +333,14 @@ def _kernel_workers(sc: SparkContext, csr: Csr, h: int, k: int):
                     lost()
         return [replies[conn] for conn in conns]
 
-    def run(hval, eids=None):
+    def run(hval, plan=None):
         if hval is None:
             return send([None] * k)
-        send((hval, chunk) for chunk in np.array_split(eids, k))
-        return np.concatenate(gather())
+        send((hval, blocks) for blocks in plan)
+        new = hval.copy()
+        for blocks, values in zip(plan, gather()):
+            new[np.concatenate(blocks)] = values
+        return new
 
     thread = InheritableThread(target=job, daemon=True)
     try:

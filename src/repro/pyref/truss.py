@@ -12,6 +12,8 @@ Three independent oracles live here:
 
 All take raw edge lists and canonicalize internally.
 """
+import time
+
 from .graphs import adjacency, bfs_within, canonical_edges
 from .hindex import h_index
 from .hsupport import h_support
@@ -90,7 +92,7 @@ def _path_keys(adj, source, h, values, targets=None):
 MAX_SWEEPS = 100_000
 
 
-def serial_hindex_decompose(edges, h, asynchronous=False):
+def serial_hindex_decompose(edges, h, asynchronous=False, budget_s=None):
     """The paper's H-index fixpoint, serially.
 
     Synchronous mode is Algorithm 2 run on one thread: every sweep
@@ -101,11 +103,20 @@ def serial_hindex_decompose(edges, h, asynchronous=False):
 
     Returns ``(trussness, sweeps)`` where ``trussness[(u,v)] = t(e,h)``
     and ``sweeps`` is the number of iterations until no value changed.
+    With ``budget_s`` set, raises :class:`TimeoutError` once the call has
+    run longer (the harness's INF).
     """
+    deadline = None if budget_s is None else time.monotonic() + budget_s
+
+    def check_budget():
+        if deadline is not None and time.monotonic() > deadline:
+            raise TimeoutError(f"serial H-index iteration exceeded {budget_s} s")
+
     edges = canonical_edges(edges)
     adj = adjacency(edges)
     delta = {}
     for u, v in edges:
+        check_budget()
         near_u = bfs_within(adj, u, h)
         near_v = bfs_within(adj, v, h)
         delta[(u, v)] = sorted(
@@ -119,6 +130,7 @@ def serial_hindex_decompose(edges, h, asynchronous=False):
         source = hval if asynchronous else dict(hval)
         new = hval if asynchronous else {}
         for e in order:
+            check_budget()
             u, v = e
             pu = _path_keys(adj, u, h, source, targets=delta[e])
             pv = _path_keys(adj, v, h, source, targets=delta[e])

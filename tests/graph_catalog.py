@@ -31,6 +31,11 @@ SMALL_GRAPHS = {
 }
 
 
+# Two edges of equal work: at parallelism 2, a cut at half the total work
+# falls before the first edge and leaves one task none.
+WEDGE = [(0, 1), (0, 2)]
+
+
 def random_graph(seed: int, n: int = 12, p: float = 0.3):
     """Seeded G(n, p) edge list (python random, independent of numpy)."""
     rng = random.Random(seed)

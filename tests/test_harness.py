@@ -6,6 +6,7 @@ from repro.bench import (
     fmt_seconds,
     markdown_table,
     run_cell,
+    run_serial_iterations_cell,
     table1,
 )
 from repro.graphgen import DATASETS
@@ -47,6 +48,12 @@ class TestCells:
     def test_base_cell_finishes_small(self, sparkf):
         secs, _ = run_cell(sparkf, "YT", 1, "base", scale=0.05)
         assert 0 < secs < 300
+
+    def test_serial_iterations_cell_reports_inf_on_zero_budget(self):
+        assert run_serial_iterations_cell("SC", 2, scale=0.02, budget_s=0.0) == INF
+
+    def test_serial_iterations_cell_finishes_small(self):
+        assert run_serial_iterations_cell("YT", 2, scale=0.03) >= 1
 
     @pytest.mark.parametrize("algo", ["paral", "asyn"])
     def test_iterations_cell(self, sparkf, algo):

@@ -57,7 +57,7 @@ class TestTableJobs:
     def test_table5_tiny(self, sparkf, capsys):
         _, lines = _tables(sparkf, capsys, "--tables", "5", "--datasets", "YT",
                            "--h-values", "2", "--scale", "0.05")
-        assert "Asyn (chromatic)" in lines[0] and "Asyn (per-edge)" in lines[0]
+        assert "Asyn (in-task)" in lines[0] and "Asyn (per-edge)" in lines[0]
         assert len(lines) == 3
 
     @pytest.mark.parametrize(("argv", "message"), [

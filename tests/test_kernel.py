@@ -10,12 +10,13 @@ from hypothesis import strategies as st
 from repro.core.kernel import (
     UNBOUNDED, build_csr, frontier_mask, h_index, path_keys, sweep,
 )
-from repro.pyref import all_h_supports
+from repro.core.paral import owned_edges, sub_blocks
+from repro.pyref import all_h_supports, decompose_peeling
 from repro.pyref.graphs import adjacency, bfs_within, canonical_edges
 from repro.pyref.hindex import h_index as ref_h_index
 from repro.pyref.truss import _path_keys as ref_path_keys
 
-from .graph_catalog import SMALL_GRAPHS, random_graph
+from .graph_catalog import SMALL_GRAPHS, WEDGE, random_graph
 
 GRAPHS = [(name, SMALL_GRAPHS[name]) for name in sorted(SMALL_GRAPHS)] + [
     (f"random{seed}", random_graph(seed)) for seed in range(4)
@@ -23,6 +24,7 @@ GRAPHS = [(name, SMALL_GRAPHS[name]) for name in sorted(SMALL_GRAPHS)] + [
     # At h=2 a mask queried at src endpoints only misses edges the next
     # sweep lowers on this graph, and on none of the graphs above.
     ("random34_n14", random_graph(34, n=14)),
+    ("wedge", WEDGE),
 ]
 
 
@@ -41,6 +43,41 @@ class Graph:
 
     def as_map(self, values):
         return dict(zip(self.edges, values.tolist()))
+
+
+def in_task_sweep(csr, hval, plan, h):
+    """One sweep of the kernel tasks' schedule: each task's list of
+    sub-blocks updated in turn on its own copy of ``hval`` (Gauss–Seidel
+    within a task), the copies merged at the end (Jacobi between tasks)."""
+    new = hval.copy()
+    for blocks in plan:
+        local = hval.copy()
+        for eids in blocks:
+            local[eids] = sweep(csr, local, eids, h)
+        for eids in blocks:
+            new[eids] = local[eids]
+    return new
+
+
+def asyn_run(csr, h, k, pruned):
+    """Asyn (``pruned``: Paral+) as a call schedules it, without Spark:
+    pass 0 on ``k`` tasks' owned edges, then in-task sweeps over their
+    sub-blocks, restricted under ``pruned`` to the frontier of the sweep
+    before. Returns the H vector after pass 0 and after every sweep."""
+    owned = owned_edges(csr, min(k, csr.m))
+    states = [in_task_sweep(csr, np.full(csr.m, UNBOUNDED), [[e] for e in owned], h)]
+    plan = [sub_blocks(e, states[0]) for e in owned]
+    frontier = None
+    for _ in range(100):
+        passes = plan if frontier is None else [
+            [b[frontier[b]] for b in blocks] for blocks in plan]
+        old = states[-1]
+        states.append(in_task_sweep(csr, old, passes, h))
+        if pruned:
+            frontier = frontier_mask(csr, old, states[-1], h)
+        if not (states[-1] < old).any():
+            return states
+    raise AssertionError("no fixpoint after 100 sweeps")
 
 
 @pytest.mark.parametrize("h", [1, 2, 3])
@@ -105,6 +142,35 @@ class TestAgainstReference:
                 hop_frontier = [u in near or v in near for u, v in g.edges]
                 assert not (mask & ~np.array(hop_frontier)).any()
                 old, new = new, nxt
+        # The same after in-task sweeps, pruned or not: every value a
+        # sub-block read lay in (new[d], old[d]].
+        for k in (1, 2, 4):
+            for pruned in (False, True):
+                states = asyn_run(g.csr, h, k, pruned)
+                for old, new in zip(states, states[1:]):
+                    mask = frontier_mask(g.csr, old, new, h)
+                    nxt = sweep(g.csr, new, every, h)
+                    assert (nxt[~mask] == new[~mask]).all(), (k, pruned)
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_in_task_schedule_reaches_the_fixpoint(self, name, raw, h, k):
+        """Asyn and Paral+'s schedule ends at the peeling trussness."""
+        g = Graph(raw)
+        expected = decompose_peeling(raw, h)
+        for pruned in (False, True):
+            final = asyn_run(g.csr, h, k, pruned)[-1]
+            assert g.as_map(final + 2) == expected, pruned
+
+
+@pytest.mark.parametrize(("name", "raw"), GRAPHS)
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_owned_edges_partition_the_edges(name, raw, k):
+    """Every task owns at least one edge, and each edge one task."""
+    csr = Graph(raw).csr
+    owned = owned_edges(csr, min(k, csr.m))
+    assert len(owned) == min(k, csr.m)
+    assert all(len(e) for e in owned)
+    assert sorted(np.concatenate(owned).tolist()) == list(range(csr.m))
 
 
 @given(st.lists(st.lists(st.integers(0, 12), max_size=12), max_size=6))

@@ -25,7 +25,7 @@ from repro.pyref import (
     all_h_supports, canonical_edges, decompose_peeling, serial_hindex_decompose,
 )
 
-from .graph_catalog import SMALL_GRAPHS, random_graph
+from .graph_catalog import SMALL_GRAPHS, WEDGE, random_graph
 
 # A call on a graph of a few dozen edges takes about a second; a barrier
 # stage that waits for task slots it will never get, or a driver that
@@ -166,15 +166,22 @@ class TestVariants:
 
     @pytest.mark.parametrize("variant", ["paral+", "asyn"])
     def test_passes_smaller_than_the_tasks(self, sparkf, variant):
-        """random_graph(0) at h=2 has 12 edges: each Asyn block holds 3,
-        and Paral+'s third sweep recomputes 2. On a session with 4 task
-        slots, passes with fewer edge ids than the 4 tasks leave some
-        tasks an empty chunk."""
-        edges = random_graph(0)
+        """random_graph(2) at h=2 has 13 edges: on a session with 4 task
+        slots each task owns 2-5 of them, so some of its 4 sub-blocks are
+        empty, and Paral+'s second and third sweeps recompute 1 edge and
+        none, leaving some tasks, then all, with no edge to update."""
+        edges = random_graph(2)
         res = decompose(sparkf, edges, 2, variant, parallelism=4)
         assert _as_dict(res.trussness) == decompose_peeling(edges, 2)
         if variant == "paral+":
-            assert [s.recomputed for s in res.stats] == [12, 5, 2, 4]
+            assert [s.recomputed for s in res.stats] == [13, 1, 0]
+
+    def test_every_task_owns_an_edge(self, sparkf):
+        """The wedge's two edges weigh the same: a cut at half the work
+        would leave one of 2 tasks no edge."""
+        for variant in ("paral", "asyn", "paral+"):
+            res = decompose(sparkf, WEDGE, 1, variant, parallelism=2)
+            assert _as_dict(res.trussness) == decompose_peeling(WEDGE, 1), variant
 
     def test_calls_leave_session_conf_unchanged(self, sparkf):
         """A call of any variant sets no SparkContext or SQL conf of the
@@ -231,8 +238,9 @@ class TestSweepsAndTrace:
 
 class TestBenchScale:
     """Paral and Paral+ against the serial synchronous oracle on the
-    2,227-edge power-law YT stand-in at h=2, and Asyn against Paral on
-    YT and on the 13,249-edge uniform GA stand-in."""
+    2,227-edge power-law YT stand-in at h=2, Paral+ against Asyn, its
+    unpruned twin, and Asyn against Paral on YT and on the 13,249-edge
+    uniform GA stand-in."""
 
     @pytest.fixture(scope="class")
     def yt(self):
@@ -241,34 +249,42 @@ class TestBenchScale:
 
     @pytest.fixture(scope="class")
     def runs(self, sparkf, yt):
-        return {pruning: decompose(sparkf, yt[0], 2, "paral+" if pruning else "paral",
-                                   parallelism=4)
-                for pruning in (False, True)}
+        return {variant: decompose(sparkf, yt[0], 2, variant, parallelism=4)
+                for variant in ("paral", "asyn", "paral+")}
 
     @pytest.mark.parametrize("pruning", [False, True])
     def test_matches_serial(self, yt, runs, pruning):
+        """Paral's sweeps are the synchronous oracle's; Paral+'s in-task
+        updates need no more."""
         _, (expected, ref_sweeps) = yt
-        res = runs[pruning]
+        res = runs["paral+" if pruning else "paral"]
         assert _as_dict(res.trussness) == expected
-        assert res.sweeps == ref_sweeps
+        if pruning:
+            assert res.sweeps <= ref_sweeps
+        else:
+            assert res.sweeps == ref_sweeps
 
     def test_pruning_recomputes_fewer_edges(self, runs):
-        paral, plus = runs[False], runs[True]
-        assert _as_dict(plus.trussness) == _as_dict(paral.trussness)
-        assert plus.sweeps == paral.sweeps == len(plus.stats) == len(paral.stats)
-        assert [s.dropped for s in plus.stats] == [s.dropped for s in paral.stats]
+        """On YT, pruning Asyn's sweeps changes none of their drops."""
+        asyn, plus = runs["asyn"], runs["paral+"]
+        assert _as_dict(plus.trussness) == _as_dict(asyn.trussness)
+        assert plus.sweeps == asyn.sweeps == len(plus.stats) == len(asyn.stats)
+        assert [s.dropped for s in plus.stats] == [s.dropped for s in asyn.stats]
         assert (sum(s.recomputed for s in plus.stats)
-                < sum(s.recomputed for s in paral.stats))
+                < sum(s.recomputed for s in asyn.stats))
 
     @pytest.mark.parametrize("key", ["YT", "GA"])
     def test_asyn_needs_no_more_sweeps(self, sparkf, key):
         """§4.3 and Figure 6: the asynchronous schedule reaches the same
-        trussness in at most Paral's number of sweeps."""
+        trussness in at most Paral's number of sweeps, and in fewer on
+        GA (16 against 21)."""
         edges = dataset_edges(key)
         paral = decompose(sparkf, edges, 2, "paral", parallelism=4)
         asyn = decompose(sparkf, edges, 2, "asyn", parallelism=4)
         assert _as_dict(asyn.trussness) == _as_dict(paral.trussness)
         assert 1 <= asyn.sweeps <= paral.sweeps
+        if key == "GA":
+            assert asyn.sweeps < paral.sweeps
 
 
 class TestKernelWorkers:
