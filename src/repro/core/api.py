@@ -17,11 +17,12 @@ DataFrame ``(src, dst, trussness)``, so results are interchangeable in
 tests and tables (Base's dict is lifted into a DataFrame, with no sweep
 stats — peeling has no sweeps).
 """
-import pandas as pd
 from pyspark.sql import SparkSession
 
+from repro.graph.edges import edge_array
+
 from .baseline import baseline_decompose
-from .paral import RESULT_SCHEMA, DecomposeResult, iterate
+from .paral import DecomposeResult, iterate, result_table
 
 VARIANTS = ("base", "single", "paral", "asyn", "paral+")
 
@@ -48,7 +49,7 @@ def decompose(
     if variant != "base":
         return iterate(spark, edges, h, variant, parallelism=parallelism,
                        trace=trace)
-    trussness = baseline_decompose(edges, h, budget_s)
-    pdf = pd.DataFrame([(u, v, t) for (u, v), t in sorted(trussness.items())],
-                       columns=["src", "dst", "trussness"])
-    return DecomposeResult(spark.createDataFrame(pdf, RESULT_SCHEMA))
+    pairs = edge_array(edges)
+    trussness = baseline_decompose(pairs, h, budget_s)
+    return DecomposeResult(result_table(
+        spark, pairs, [trussness[u, v] for u, v in pairs.tolist()]))

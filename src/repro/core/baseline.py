@@ -17,8 +17,7 @@ import time
 from collections import deque
 
 from repro.graph.edges import edge_array
-from repro.pyref.graphs import adjacency
-from repro.pyref.hsupport import h_support
+
 
 def _ball(adj, sources, radius):
     """Vertices within ``radius`` hops of any source (sources included)."""
@@ -35,6 +34,12 @@ def _ball(adj, sources, radius):
     return set(dist)
 
 
+def _support(adj, u, v, h):
+    """h-support of the edge ``(u, v)``: the vertices within ``h`` hops
+    of both ends, bar the ends, which lie in both balls as neighbours."""
+    return len(_ball(adj, (u,), h) & _ball(adj, (v,), h)) - 2
+
+
 def baseline_decompose(edges, h, budget_s: float | None = None) -> dict:
     """Run Algorithm 1; returns the h-trussness of every edge as a
     ``{(src, dst): trussness}`` dict.
@@ -45,12 +50,15 @@ def baseline_decompose(edges, h, budget_s: float | None = None) -> dict:
     """
     t0 = time.monotonic()
     edges = edge_array(edges).tolist()
-    adj = adjacency(edges)
+    adj = {}
+    for u, v in edges:
+        adj.setdefault(u, set()).add(v)
+        adj.setdefault(v, set()).add(u)
 
     # Lines 1-5: initial h-supports into bins (bin sort as in core decomp).
     key = {}  # edge -> current bin index (= clamped support + 2)
     for u, v in edges:
-        key[(u, v)] = h_support(adj, u, v, h) + 2
+        key[(u, v)] = _support(adj, u, v, h) + 2
     bins = {}
     for e, k in key.items():
         bins.setdefault(k, set()).add(e)
@@ -84,7 +92,7 @@ def baseline_decompose(edges, h, budget_s: float | None = None) -> dict:
                 cur = key.get(ep)
                 if cur is None or cur <= k:
                     continue  # already peeled or already doomed at this k
-                new = max(h_support(adj, ep[0], ep[1], h) + 2, k)
+                new = max(_support(adj, ep[0], ep[1], h) + 2, k)
                 if new != cur:
                     bins[cur].discard(ep)
                     bins.setdefault(new, set()).add(ep)

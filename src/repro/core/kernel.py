@@ -18,7 +18,7 @@ every H-value at :data:`UNBOUNDED`, ``ℋ`` of ``|Δ(e)|`` copies of it is
 ``|Δ(e)|``, so the same call computes the h-support ``H^(0)``.
 
 Nothing here touches Spark. ``repro.core.paral`` runs :func:`sweep` in
-its Spark tasks, each on one chunk of a pass's edge ids, and
+its Spark tasks, each on the sub-blocks of the edges it owns, and
 :func:`frontier_mask`, Paral+'s Lemma-4 pruning, on the driver.
 """
 from dataclasses import dataclass
@@ -53,10 +53,12 @@ class Csr:
         return len(self.src)
 
 
-def build_csr(src: np.ndarray, dst: np.ndarray, n: int) -> Csr:
-    """CSR adjacency of the canonical dense edge list ``(src, dst)``."""
-    src = np.asarray(src, dtype=np.int64)
-    dst = np.asarray(dst, dtype=np.int64)
+def build_csr(pairs: np.ndarray) -> Csr:
+    """CSR adjacency of the canonical ``(m, 2)`` edge list ``pairs``, its
+    vertices relabelled densely in ascending id order; edge ``i`` is row ``i``."""
+    vertex_ids, dense = np.unique(pairs, return_inverse=True)
+    n = len(vertex_ids)
+    src, dst = dense.reshape(-1, 2).astype(np.int64).T
     eid = np.arange(len(src), dtype=np.int64)
     a = np.concatenate([src, dst])
     b = np.concatenate([dst, src])

@@ -3,44 +3,26 @@
 :func:`iterate` runs four of the paper's variants, named as
 :func:`repro.core.api.decompose` names them (DESIGN.md §3):
 
-* ``paral``  — synchronous (Jacobi) sweeps; every sweep recomputes
-  ``H^(n)`` for all edges from the ``H^(n-1)`` snapshot until nothing
-  changes (Theorems 1-2 guarantee monotone convergence to
-  ``t(e,h) - 2``).
-* ``single`` — the same sweeps with one kernel task, the paper's
-  one-thread configuration.
-* ``asyn``   — asynchronous sweeps (§4.3). Each task updates its own
-  edges in place, in :data:`_ASYN_BLOCKS` sub-blocks by ascending
-  ``H^(0)``, so every sub-block reads the values written before it in
-  the same sweep: Gauss–Seidel within a task, Jacobi between tasks
-  (substitution 2). §4.1 proves any such mixed schedule converges to
-  the same fixpoint.
-* ``paral+`` — Asyn with Lemma 4's pruning, as in the paper. A sweep
-  recomputes only the edges that a drop in the sweep before crossed
-  (:func:`~repro.core.kernel.frontier_mask` of the sweep's start and
-  end vectors, substitution 3); the others would keep their values.
+* ``paral``  — synchronous (Jacobi) sweeps: each recomputes ``H^(n)``
+  for all edges from ``H^(n-1)``, until nothing changes (Theorems 1-2:
+  monotone convergence to ``t(e,h) - 2``).
+* ``single`` — Paral on one kernel task, the paper's one thread.
+* ``asyn``   — asynchronous sweeps (§4.3): each task updates its edges
+  in place, in :data:`_ASYN_BLOCKS` sub-blocks by ascending ``H^(0)``
+  (Gauss–Seidel within a task, Jacobi between tasks; substitution 2),
+  which §4.1 proves converges to the same fixpoint.
+* ``paral+`` — Asyn with Lemma 4's pruning: a sweep recomputes only the
+  edges in the :func:`~repro.core.kernel.frontier_mask` of the sweep
+  before (substitution 3); the others would keep their values.
 
-Each call collects the canonical edge list on the driver, relabels the
-vertices densely to ``0..n-1`` and builds their CSR adjacency. It then
-runs one Spark job for the whole decomposition: a barrier stage of
-``k`` long-lived, stateless kernel tasks, which connect back to a
-listener on the driver and receive the CSR over that connection. Task
-``i`` owns the ``i``-th range of :func:`owned_edges`, fixed for the
-call. Every pass (pass 0, then one per sweep) is one message round: the
-driver sends each task the H vector and its edges as a list of
-sub-blocks, and the task returns their new values, each sub-block
-computed by :func:`~repro.core.kernel.sweep` — Algorithm 3 — over its
-copy of H after the sub-blocks before it were written. Pass 0 runs the
-kernel with every H-value unbounded and one block per task, which
-yields the h-support ``H^(0)``. The H vector lives on the driver
-between passes, as the paper's threads share it in memory.
-
-Each task first calls :func:`_skip_unchanged_zip_rereads`, so that the
-later tasks of its PySpark worker start without re-reading the zip
-archives on ``sys.path``; that cut the launch, until every task holds
-the CSR, from about 0.3 s to 0.07-0.09 s on a 4-core host (DESIGN.md §3,
-"per-call floor"). :class:`DecomposeResult` reports the launch and pass
-0 as ``launch_s`` and ``support_s``.
+:func:`schedule` is that loop, Spark-free: pass 0 (the h-support) and
+the sweeps, each one message round in which every task runs
+:func:`update` on the edges it owns. :func:`iterate` builds the CSR on
+the driver and runs the rounds in one Spark job of ``k`` long-lived
+kernel tasks (:func:`_kernel_workers`); the H vector lives on the
+driver between rounds, as the paper's threads share it in memory.
+:class:`DecomposeResult` reports the job's launch, until every task has
+connected, and pass 0 as ``launch_s`` and ``support_s``.
 """
 import os
 import secrets
@@ -157,11 +139,61 @@ def owned_edges(csr: Csr, k: int) -> list[np.ndarray]:
     return np.split(order, cuts)
 
 
-def sub_blocks(eids: np.ndarray, h0: np.ndarray) -> list[np.ndarray]:
-    """A task's edges ``eids`` as :data:`_ASYN_BLOCKS` sub-blocks of
-    ascending initial value ``h0`` (ties in ``eids`` order), so drops
-    propagate in peeling order within a sweep."""
-    return np.array_split(eids[np.argsort(h0[eids], kind="stable")], _ASYN_BLOCKS)
+def update(csr: Csr, hval: np.ndarray, blocks: list[np.ndarray], h: int) -> np.ndarray:
+    """A kernel task's part of a round: each sub-block of edge ids in
+    ``blocks`` in turn recomputed into ``hval`` (Gauss–Seidel), and the
+    new values of ``concatenate(blocks)`` returned."""
+    for eids in blocks:
+        hval[eids] = sweep(csr, hval, eids, h)
+    return hval[np.concatenate(blocks)]
+
+
+def merge(hval: np.ndarray, plan: list, replies: list) -> np.ndarray:
+    """``hval`` with each task's planned edges set to its reply's values."""
+    new = hval.copy()
+    for blocks, values in zip(plan, replies):
+        new[np.concatenate(blocks)] = values
+    return new
+
+
+def schedule(csr: Csr, h: int, variant: str, k: int, run):
+    """Algorithm 2 for ``variant`` on ``k`` tasks, each owning a range of
+    :func:`owned_edges`, through ``run(hval, plan)``, the message round
+    of :func:`_kernel_workers`; nothing here touches Spark.
+
+    Yields ``(hval, stats)`` after pass 0 and after every sweep: the H
+    vector and the :class:`SweepStats` of the sweeps so far. Ends after
+    the first sweep that lowers no H-value; raises
+    :class:`NotConvergedError` if :data:`MAX_SWEEPS` sweeps do not.
+    """
+    owned = owned_edges(csr, k)
+    # Lines 1-3: H^(0) = h-support.
+    jacobi = [[e] for e in owned]  # one block per task
+    state = run(np.full(csr.m, UNBOUNDED, dtype=np.int64), jacobi)
+    stats = []
+    yield state, stats
+
+    plan = jacobi
+    if variant in ("asyn", "paral+"):
+        # Sub-blocks of ascending H^(0), ties in owned order, so drops
+        # propagate in peeling order within a sweep.
+        plan = [np.array_split(e[np.argsort(state[e], kind="stable")], _ASYN_BLOCKS)
+                for e in owned]
+    frontier = None  # Paral+: the edges the last sweep's drops may lower
+    for _ in range(MAX_SWEEPS):
+        start, old = time.perf_counter(), state
+        passes = plan if frontier is None else [
+            [b[frontier[b]] for b in blocks] for blocks in plan]
+        state = run(old, passes)
+        dropped = int(np.count_nonzero(state < old))
+        if variant == "paral+":
+            frontier = frontier_mask(csr, old, state, h)
+        stats.append(SweepStats(sum(len(b) for bs in passes for b in bs),
+                                dropped, time.perf_counter() - start))
+        yield state, stats
+        if not dropped:
+            return
+    raise NotConvergedError(len(stats), stats[-1])
 
 
 def iterate(
@@ -190,71 +222,46 @@ def iterate(
     """
     pairs = edge_array(edges)
     if not len(pairs):
-        return DecomposeResult(spark.createDataFrame([], RESULT_SCHEMA))
-    vertex_ids, dense = np.unique(pairs, return_inverse=True)
-    dense = dense.reshape(-1, 2)
-    csr = build_csr(dense[:, 0], dense[:, 1], len(vertex_ids))
-    m = csr.m
-    if variant == "single":
-        parallelism = 1
-    k = min(worker_count(spark.sparkContext, parallelism), m)
-    owned = owned_edges(csr, k)
-
+        return DecomposeResult(result_table(spark, pairs, []))
+    csr = build_csr(pairs)
+    k = 1 if variant == "single" else min(
+        worker_count(spark.sparkContext, parallelism), csr.m)
+    traces = []
     start = time.perf_counter()
     with _kernel_workers(spark.sparkContext, csr, h, k) as run:
         launch_s = time.perf_counter() - start
-        # Lines 1-3: H^(0) = h-support.
-        jacobi = [[e] for e in owned]  # one block per task
-        state = run(np.full(m, UNBOUNDED, dtype=np.int64), jacobi)
-        support_s = time.perf_counter() - start - launch_s
-
-        plan = jacobi
-        if variant in ("asyn", "paral+"):
-            plan = [sub_blocks(e, state) for e in owned]
-
-        traces = [_trace_frame(pairs, state)] if trace else []
-        stats = []
-        frontier = None  # Paral+: the edges the last sweep's drops may lower
-        for _ in range(MAX_SWEEPS):
-            start, old = time.perf_counter(), state
-            passes = plan if frontier is None else [
-                [b[frontier[b]] for b in blocks] for blocks in plan]
-            state = run(old, passes)
-            dropped = int(np.count_nonzero(state < old))
-            if variant == "paral+":
-                frontier = frontier_mask(csr, old, state, h)
-            stats.append(SweepStats(sum(len(b) for bs in passes for b in bs),
-                                    dropped, time.perf_counter() - start))
+        for state, stats in schedule(csr, h, variant, k, run):
+            if not stats:
+                support_s = time.perf_counter() - start - launch_s
             if trace:
                 traces.append(_trace_frame(pairs, state))
-            if not dropped:
-                break
-        else:
-            raise NotConvergedError(len(stats), stats[-1])
-
         # The tasks end while the driver builds the table.
         run(None)
-        out = pd.DataFrame({"src": pairs[:, 0], "dst": pairs[:, 1],
-                            "trussness": state + 2})
-        table = spark.createDataFrame(out, RESULT_SCHEMA)
+        table = result_table(spark, pairs, state + 2)
     return DecomposeResult(table, traces, stats, launch_s, support_s)
+
+
+def result_table(spark: SparkSession, pairs: np.ndarray, trussness) -> DataFrame:
+    """The :data:`RESULT_SCHEMA` table of the ``(m, 2)`` edges ``pairs``."""
+    out = pd.DataFrame({"src": pairs[:, 0], "dst": pairs[:, 1],
+                        "trussness": np.asarray(trussness, dtype=np.int64)})
+    return spark.createDataFrame(out, RESULT_SCHEMA)
 
 
 @contextmanager
 def _kernel_workers(sc: SparkContext, csr: Csr, h: int, k: int):
-    """Run :func:`sweep` over ``csr`` in ``k`` stateless Spark tasks that
-    live as long as the ``with`` block.
+    """Run :func:`update` over ``csr`` in ``k`` stateless Spark tasks
+    that live as long as the ``with`` block.
 
-    Yields ``run(hval, plan)``, one message round: task ``i`` gets the H
-    vector and ``plan[i]``, a list of edge-id sub-blocks, and updates
-    its copy of H one sub-block at a time (Gauss–Seidel); ``run``
-    returns ``hval`` with every planned edge set to the value its task
-    computed. ``run(None)`` releases the tasks. The tasks form one
-    barrier job, launched from an :class:`~pyspark.InheritableThread` so
-    the caller's job group covers it; they connect back to a listener on
-    ``spark.driver.host`` that admits only holders of a fresh per-call
-    key, receive the CSR and acknowledge it, and the block is entered
-    once every task has. Each task first calls
+    Yields ``run(hval, plan)``, one message round: task ``i`` gets
+    ``(hval, plan[i])`` and replies with :func:`update` of its copy of
+    H, and ``run`` returns the replies' :func:`merge`. ``run(None)``
+    sends the release, the only other message; the CSR travels in the
+    tasks' closure. The tasks form one barrier job, launched from an
+    :class:`~pyspark.InheritableThread` so the caller's job group covers
+    it; they connect back to a listener on ``spark.driver.host`` that
+    admits only holders of a fresh per-call key, and the block is
+    entered once every task has. Each task first calls
     :func:`_skip_unchanged_zip_rereads`, which speeds up the start of
     later tasks in its worker process. If the job fails, the waiting
     driver raises its error. On leaving the block the connections are
@@ -272,14 +279,9 @@ def _kernel_workers(sc: SparkContext, csr: Csr, h: int, k: int):
         _skip_unchanged_zip_rereads()
         with Client(address, authkey=authkey) as conn, suppress(EOFError):
             _no_delay(conn)
-            graph = conn.recv()
-            conn.send(None)
             # EOF: the driver gave up on the call and closed the connection.
             while (msg := conn.recv()) is not None:
-                hval, blocks = msg
-                for eids in blocks:
-                    hval[eids] = sweep(graph, hval, eids, h)
-                conn.send(hval[np.concatenate(blocks)])
+                conn.send(update(csr, *msg, h))  # msg: (hval, blocks)
         return iter(())
 
     failure, done = [], threading.Event()
@@ -337,10 +339,7 @@ def _kernel_workers(sc: SparkContext, csr: Csr, h: int, k: int):
         if hval is None:
             return send([None] * k)
         send((hval, blocks) for blocks in plan)
-        new = hval.copy()
-        for blocks, values in zip(plan, gather()):
-            new[np.concatenate(blocks)] = values
-        return new
+        return merge(hval, plan, gather())
 
     thread = InheritableThread(target=job, daemon=True)
     try:
@@ -352,8 +351,6 @@ def _kernel_workers(sc: SparkContext, csr: Csr, h: int, k: int):
                 pass  # not a kernel task, or the job's wake-up call: dropped
             if done.is_set():
                 lost()
-        send([csr] * k)
-        gather()
         yield run
     finally:
         close()

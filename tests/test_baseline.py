@@ -1,6 +1,12 @@
 """Tests for Base (Algorithm 1) against the definition-level reference."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
 from repro.core.baseline import baseline_decompose
 from repro.pyref import decompose_peeling
 
@@ -61,3 +67,16 @@ class TestInputForms:
     def test_from_spark(self, sparkf):
         df = sparkf.createDataFrame(self.EDGES, "u long, v long")
         assert baseline_decompose(df, 1) == self.EXPECTED
+
+
+def test_core_loads_no_reference_oracle():
+    """Base is tested against ``repro.pyref``, so it shares none of its
+    code: importing ``repro.core`` loads no ``repro.pyref`` module."""
+    src = str(Path(repro.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, repro.core; "
+            "print([m for m in sys.modules if m.startswith('repro.pyref')])")
+    out = subprocess.run([sys.executable, "-c", code], env=env,
+                         capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"

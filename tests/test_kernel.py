@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.core import paral
 from repro.core.kernel import (
     UNBOUNDED, build_csr, frontier_mask, h_index, path_keys, sweep,
 )
-from repro.core.paral import owned_edges, sub_blocks
 from repro.pyref import all_h_supports, decompose_peeling
 from repro.pyref.graphs import adjacency, bfs_within, canonical_edges
 from repro.pyref.hindex import h_index as ref_h_index
@@ -33,9 +33,8 @@ class Graph:
 
     def __init__(self, raw):
         self.edges = canonical_edges(raw)
-        self.vertex_ids, dense = np.unique(self.edges, return_inverse=True)
-        dense = dense.reshape(-1, 2)
-        self.csr = build_csr(dense[:, 0], dense[:, 1], len(self.vertex_ids))
+        self.vertex_ids = np.unique(self.edges)
+        self.csr = build_csr(np.array(self.edges))
 
     def random_values(self, seed, top=6):
         rng = random.Random(seed)
@@ -45,39 +44,17 @@ class Graph:
         return dict(zip(self.edges, values.tolist()))
 
 
-def in_task_sweep(csr, hval, plan, h):
-    """One sweep of the kernel tasks' schedule: each task's list of
-    sub-blocks updated in turn on its own copy of ``hval`` (Gauss–Seidel
-    within a task), the copies merged at the end (Jacobi between tasks)."""
-    new = hval.copy()
-    for blocks in plan:
-        local = hval.copy()
-        for eids in blocks:
-            local[eids] = sweep(csr, local, eids, h)
-        for eids in blocks:
-            new[eids] = local[eids]
-    return new
+def schedule_states(csr, h, variant, k):
+    """The H vectors :func:`paral.schedule` yields for ``variant`` on ``k``
+    tasks, after pass 0 and after every sweep, with the message round run
+    in this process: each task's reply is :func:`paral.update` of its own
+    copy of H, and :func:`paral.merge` writes the replies."""
 
+    def run(hval, plan):
+        replies = [paral.update(csr, hval.copy(), blocks, h) for blocks in plan]
+        return paral.merge(hval, plan, replies)
 
-def asyn_run(csr, h, k, pruned):
-    """Asyn (``pruned``: Paral+) as a call schedules it, without Spark:
-    pass 0 on ``k`` tasks' owned edges, then in-task sweeps over their
-    sub-blocks, restricted under ``pruned`` to the frontier of the sweep
-    before. Returns the H vector after pass 0 and after every sweep."""
-    owned = owned_edges(csr, min(k, csr.m))
-    states = [in_task_sweep(csr, np.full(csr.m, UNBOUNDED), [[e] for e in owned], h)]
-    plan = [sub_blocks(e, states[0]) for e in owned]
-    frontier = None
-    for _ in range(100):
-        passes = plan if frontier is None else [
-            [b[frontier[b]] for b in blocks] for blocks in plan]
-        old = states[-1]
-        states.append(in_task_sweep(csr, old, passes, h))
-        if pruned:
-            frontier = frontier_mask(csr, old, states[-1], h)
-        if not (states[-1] < old).any():
-            return states
-    raise AssertionError("no fixpoint after 100 sweeps")
+    return [hval for hval, _ in paral.schedule(csr, h, variant, min(k, csr.m), run)]
 
 
 @pytest.mark.parametrize("h", [1, 2, 3])
@@ -145,21 +122,21 @@ class TestAgainstReference:
         # The same after in-task sweeps, pruned or not: every value a
         # sub-block read lay in (new[d], old[d]].
         for k in (1, 2, 4):
-            for pruned in (False, True):
-                states = asyn_run(g.csr, h, k, pruned)
+            for variant in ("asyn", "paral+"):
+                states = schedule_states(g.csr, h, variant, k)
                 for old, new in zip(states, states[1:]):
                     mask = frontier_mask(g.csr, old, new, h)
                     nxt = sweep(g.csr, new, every, h)
-                    assert (nxt[~mask] == new[~mask]).all(), (k, pruned)
+                    assert (nxt[~mask] == new[~mask]).all(), (k, variant)
 
     @pytest.mark.parametrize("k", [1, 2, 4])
     def test_in_task_schedule_reaches_the_fixpoint(self, name, raw, h, k):
         """Asyn and Paral+'s schedule ends at the peeling trussness."""
         g = Graph(raw)
         expected = decompose_peeling(raw, h)
-        for pruned in (False, True):
-            final = asyn_run(g.csr, h, k, pruned)[-1]
-            assert g.as_map(final + 2) == expected, pruned
+        for variant in ("asyn", "paral+"):
+            final = schedule_states(g.csr, h, variant, k)[-1]
+            assert g.as_map(final + 2) == expected, variant
 
 
 @pytest.mark.parametrize(("name", "raw"), GRAPHS)
@@ -167,7 +144,7 @@ class TestAgainstReference:
 def test_owned_edges_partition_the_edges(name, raw, k):
     """Every task owns at least one edge, and each edge one task."""
     csr = Graph(raw).csr
-    owned = owned_edges(csr, min(k, csr.m))
+    owned = paral.owned_edges(csr, min(k, csr.m))
     assert len(owned) == min(k, csr.m)
     assert all(len(e) for e in owned)
     assert sorted(np.concatenate(owned).tolist()) == list(range(csr.m))

@@ -237,10 +237,10 @@ class TestSweepsAndTrace:
 
 
 class TestBenchScale:
-    """Paral and Paral+ against the serial synchronous oracle on the
-    2,227-edge power-law YT stand-in at h=2, Paral+ against Asyn, its
-    unpruned twin, and Asyn against Paral on YT and on the 13,249-edge
-    uniform GA stand-in."""
+    """Base, Paral and Paral+ against the serial synchronous oracle on
+    the 2,227-edge power-law YT stand-in at h=2, Paral+ against Asyn,
+    its unpruned twin, and Asyn against Paral on YT and on the
+    13,249-edge uniform GA stand-in."""
 
     @pytest.fixture(scope="class")
     def yt(self):
@@ -263,6 +263,11 @@ class TestBenchScale:
             assert res.sweeps <= ref_sweeps
         else:
             assert res.sweeps == ref_sweeps
+
+    def test_base_matches_serial(self, sparkf, yt):
+        """Base peels all of YT to the oracle's trussness."""
+        edges, (expected, _) = yt
+        assert _as_dict(decompose(sparkf, edges, 2, "base").trussness) == expected
 
     def test_pruning_recomputes_fewer_edges(self, runs):
         """On YT, pruning Asyn's sweeps changes none of their drops."""
@@ -313,9 +318,9 @@ class TestKernelWorkers:
         with _no_leftovers():
             self._assert_toy_right(sparkf)
 
-    @pytest.mark.parametrize("where", ["sweep", "Client"])
+    @pytest.mark.parametrize("where", ["update", "Client"])
     def test_worker_failure_raises_promptly(self, sparkf, monkeypatch, where):
-        """A task that fails in a round (``sweep``) or before it connects
+        """A task that fails in a round (``update``) or before it connects
         (``Client``) fails the call; the next call is unaffected."""
         self._assert_toy_right(sparkf)
 
