@@ -1,5 +1,6 @@
 import os
 import sys
+from pathlib import Path
 
 
 def _driver_mem() -> str:
@@ -46,6 +47,12 @@ def _driver_mem() -> str:
 
 
 os.environ.setdefault("SPARK_DRIVER_MEM", _driver_mem())
+# The PySpark workers unpickle functions of ``repro`` and start from this
+# environment, which pytest's ``pythonpath`` setting does not reach.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    p for p in (str(Path(__file__).parent / "src"), os.environ.get("PYTHONPATH"))
+    if p
+)
 os.environ.setdefault(
     "PYSPARK_SUBMIT_ARGS",
     f"--master {os.environ.get('SPARK_MASTER', 'local[*]')} "
@@ -60,19 +67,19 @@ from pyspark.sql import SparkSession  # noqa: E402
 
 
 @pytest.fixture(scope="session")
-def spark() -> SparkSession:
+def sparkf() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
     pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    (shuffle partitions, Arrow, broadcast threshold) are set here.
-    Broadcast joins are disabled so papers about shuffle/join algorithms
-    actually exercise the shuffle path at SF~=0.1; a reproduction that
-    wants a broadcast join sets the threshold back for that query.
+    are set here: 8 shuffle partitions (the test graphs are tiny), Arrow,
+    and broadcast joins off, as in ``jobs/_session.py`` and the
+    benchmark's session, so the dataflow reference layers, the only code
+    that joins, are tested with the shuffle joins those sessions run.
     """
     s = (
         SparkSession.builder.appName("repro")
-        .config("spark.sql.shuffle.partitions", 64)
+        .config("spark.sql.shuffle.partitions", 8)
         .config("spark.sql.execution.arrow.pyspark.enabled", "true")
         .config("spark.sql.autoBroadcastJoinThreshold", -1)
         .getOrCreate()

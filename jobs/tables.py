@@ -8,7 +8,8 @@ Usage::
 
 A flag left out keeps each table's own default (see ``repro.bench``):
 T3 and T5 run all six stand-ins at h ∈ {2, 3}, T4 runs YT, VL and GA at
-h=2, and T2 runs the toy graph at h=2. ``--parallelism`` sets T4's
+h=2 at the powers of two up to the session's task slots
+(``defaultParallelism``), and T2 runs the toy graph at h=2. ``--parallelism`` sets T4's
 levels, ``--budget`` the seconds Base may take per T3 cell, and the
 serial per-edge schedule per T5 cell, before the cell is reported INF,
 and ``--scale`` the stand-ins' size (default: each one's bench scale).

@@ -11,8 +11,7 @@ import time
 
 import numpy as np
 
-from repro.core.api import decompose
-from repro.core.paral import worker_count
+from repro.core.api import decompose, worker_count
 from repro.graphgen.datasets import DATASETS, dataset_edges
 from repro.graphgen.toy import toy_edges
 
@@ -49,15 +48,15 @@ def host_line(spark) -> str:
 
 
 def run_cell(
-    spark, dataset: str, h: int, variant: str, *, parallelism: int = 16,
+    spark, dataset: str, h: int, variant: str, *, parallelism: int | None = None,
     budget_s: float = BUDGET_S, scale: float | None = None,
 ):
     """One timed decomposition of a stand-in: ``(seconds, sweeps)``.
 
     The time is that of the ``decompose`` call, up to its lazy result
     table. ``parallelism`` plays the paper's thread-count role (DESIGN.md
-    substitution 1); the default mirrors its 20-thread runs, and the call
-    caps it at the session's task slots. Base runs serially under
+    substitution 1); the default is one kernel task per task slot of
+    the session, the most a call runs. Base runs serially under
     ``budget_s`` and reports ``(INF, 0)`` past it, as the paper does."""
     edges = dataset_edges(dataset, scale)
     t0 = time.monotonic()
@@ -134,12 +133,14 @@ def table4(spark, datasets=None, h_values=None, parallelism=None, *,
     """T4 — Figure 5: Paral wall time per parallelism and its speedup
     over the first level (1 = the paper's **Single**). A call runs at
     most ``defaultParallelism`` kernel tasks, so each row records the
-    worker count it ran with. Defaults: YT, VL, GA; h=2; 1, 2, 4, 8, 16."""
+    worker count it ran with. Defaults: YT, VL, GA; h=2; the powers of
+    two up to ``defaultParallelism``."""
+    slots = spark.sparkContext.defaultParallelism
     rows = []
     for d in datasets or ["YT", "VL", "GA"]:
         for h in h_values or [2]:
             single = None
-            for p in parallelism or [1, 2, 4, 8, 16]:
+            for p in parallelism or [1 << i for i in range(slots.bit_length())]:
                 secs, _ = run_cell(spark, d, h, "paral", parallelism=p, scale=scale)
                 single = single or secs
                 rows.append([d, h, p, worker_count(spark.sparkContext, p),

@@ -3,19 +3,20 @@
 :func:`decompose` is the one entry point; its ``variant`` names one of
 the paper's five systems (§5.1: Base, Single, Paral, Asyn, Paral+).
 
-* :mod:`repro.core.api` — ``decompose(spark, edges, h, variant)``.
+* :mod:`repro.core.api` — ``decompose(spark, edges, h, variant)``: checks
+  the options, builds the CSR and runs the call.
 * :mod:`repro.core.baseline` — Algorithm 1, the serial peeling baseline
   (**Base**).
 * :mod:`repro.core.paral` — Algorithm 2's iterate-until-convergence
   loop with the Section 4.3 optimizations (**Single / Paral / Asyn /
-  Paral+**), run as one Spark job of kernel tasks.
+  Paral+**), and the one Spark job of kernel tasks that runs its rounds.
 * :mod:`repro.core.kernel` — Algorithm 3 as a numpy kernel over CSR
   adjacency: bottleneck path keys, Δ and ℋ(·) for a block of edges.
 * :mod:`repro.core.hindex` — ℋ(·) aggregation and the h-hop bottleneck
   path-key dataflow (a dataflow rendering of Algorithm 3, kept as a
   tested reference; the decomposition runs the kernel).
 """
-from .api import decompose
-from .paral import DecomposeResult, NotConvergedError
+from .api import DecomposeResult, decompose
+from .paral import NotConvergedError
 
 __all__ = ["decompose", "DecomposeResult", "NotConvergedError"]

@@ -10,21 +10,57 @@ asyn      Paral + asynchronous update (in place within each task)
 paral+    Asyn + Lemma-4 pruning
 ========  =====================================================
 
-Base is :func:`repro.core.baseline.baseline_decompose`; the other four
-are :func:`repro.core.paral.iterate`. Every variant returns a
-:class:`repro.core.paral.DecomposeResult` whose ``trussness`` is a Spark
-DataFrame ``(src, dst, trussness)``, so results are interchangeable in
-tests and tables (Base's dict is lifted into a DataFrame, with no sweep
-stats — peeling has no sweeps).
+Base is :func:`repro.core.baseline.baseline_decompose`. The other four
+run :func:`repro.core.paral.schedule` over the CSR that
+:func:`decompose` builds, in the kernel tasks of
+:func:`repro.core.paral.kernel_workers`. Every variant returns a
+:class:`DecomposeResult` whose ``trussness`` is a Spark DataFrame
+``(src, dst, trussness)``, so results are interchangeable in tests and
+tables (Base's has no sweep stats — peeling has no sweeps).
 """
-from pyspark.sql import SparkSession
+import time
+from dataclasses import dataclass, field
+from numbers import Integral
+
+import numpy as np
+import pandas as pd
+from pyspark import SparkContext
+from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.graph.edges import edge_array
 
 from .baseline import baseline_decompose
-from .paral import DecomposeResult, iterate, result_table
+from .kernel import build_csr
+from .paral import SweepStats, kernel_workers, schedule
 
 VARIANTS = ("base", "single", "paral", "asyn", "paral+")
+
+# Built once: a DDL string would be parsed in the JVM on every call.
+RESULT_SCHEMA = StructType([StructField(name, LongType())
+                            for name in ("src", "dst", "trussness")])
+
+
+@dataclass
+class DecomposeResult:
+    """Decomposition output: the trussness table, (in trace mode) the
+    per-sweep H-value tables of Figure 3, and one :class:`SweepStats`
+    per sweep.
+
+    ``launch_s`` is the seconds from the start of the call's Spark job
+    until every kernel task holds the CSR, and ``support_s`` the seconds
+    of pass 0, the h-support round. Both are 0.0 for Base."""
+
+    trussness: DataFrame
+    trace: list[pd.DataFrame] = field(default_factory=list)
+    stats: list[SweepStats] = field(default_factory=list)
+    launch_s: float = 0.0
+    support_s: float = 0.0
+
+    @property
+    def sweeps(self) -> int:
+        """The sweep count the paper's Figure 6 reports; 0 for Base."""
+        return len(self.stats)
 
 
 def decompose(
@@ -39,17 +75,59 @@ def decompose(
 ) -> DecomposeResult:
     """Compute h-trussness with the chosen paper variant (see module doc).
 
-    ``parallelism`` (kernel tasks) and ``trace`` (per-sweep H-values)
-    apply to the sweeping variants; ``budget_s`` to Base, which raises
-    :class:`TimeoutError` past it (the paper's INF)."""
+    ``parallelism`` (kernel tasks, each owning a range of the edges; see
+    :func:`worker_count`) and ``trace`` (per-sweep H-values) apply to
+    the sweeping variants, and ``single`` runs one task; ``budget_s``
+    applies to Base, which raises :class:`TimeoutError` past it (the
+    paper's INF). Raises :class:`ValueError`, before any Spark job, for
+    an unknown variant, for ``h`` other than an integer >= 1 and for
+    ``parallelism`` other than ``None`` or an integer >= 1, and
+    :class:`~repro.core.paral.NotConvergedError` if the sweeps reach no
+    fixpoint within :data:`~repro.core.paral.MAX_SWEEPS`."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; pick one of {VARIANTS}")
-    if h < 1:
-        raise ValueError(f"h must be >= 1, got {h}")
-    if variant != "base":
-        return iterate(spark, edges, h, variant, parallelism=parallelism,
-                       trace=trace)
+    if not isinstance(h, Integral) or h < 1:
+        raise ValueError(f"h must be an integer >= 1, got {h!r}")
+    if parallelism is not None and (
+            not isinstance(parallelism, Integral) or parallelism < 1):
+        raise ValueError(
+            f"parallelism must be None or an integer >= 1, got {parallelism!r}")
     pairs = edge_array(edges)
-    trussness = baseline_decompose(pairs, h, budget_s)
-    return DecomposeResult(result_table(
-        spark, pairs, [trussness[u, v] for u, v in pairs.tolist()]))
+    if not len(pairs):
+        return DecomposeResult(_result_table(spark, pairs, []))
+    if variant == "base":
+        trussness = baseline_decompose(pairs, h, budget_s)
+        return DecomposeResult(_result_table(
+            spark, pairs, [trussness[u, v] for u, v in pairs.tolist()]))
+
+    csr = build_csr(pairs)
+    sc = spark.sparkContext
+    k = 1 if variant == "single" else min(worker_count(sc, parallelism), csr.m)
+    traces = []
+    start = time.perf_counter()
+    with kernel_workers(sc, csr, h, k) as run:
+        launch_s = time.perf_counter() - start
+        for state, stats in schedule(csr, h, variant, k, run):
+            if not stats:
+                support_s = time.perf_counter() - start - launch_s
+            if trace:
+                traces.append(pd.DataFrame(
+                    {"src": pairs[:, 0], "dst": pairs[:, 1], "hval": state}))
+        # The tasks end while the driver builds the table.
+        run(None)
+        table = _result_table(spark, pairs, state + 2)
+    return DecomposeResult(table, traces, stats, launch_s, support_s)
+
+
+def worker_count(sc: SparkContext, parallelism: int | None) -> int:
+    """Kernel tasks a call runs on a graph of enough edges:
+    ``parallelism`` (``None`` means ``defaultParallelism``), capped at
+    ``defaultParallelism``, the task slots a barrier job needs at once."""
+    return min(parallelism or sc.defaultParallelism, sc.defaultParallelism)
+
+
+def _result_table(spark: SparkSession, pairs: np.ndarray, trussness) -> DataFrame:
+    """The :data:`RESULT_SCHEMA` table of the ``(m, 2)`` edges ``pairs``."""
+    out = pd.DataFrame({"src": pairs[:, 0], "dst": pairs[:, 1],
+                        "trussness": np.asarray(trussness, dtype=np.int64)})
+    return spark.createDataFrame(out, RESULT_SCHEMA)

@@ -1,6 +1,6 @@
 """Algorithm 2 — the parallel H-index decomposition framework.
 
-:func:`iterate` runs four of the paper's variants, named as
+:func:`schedule` runs four of the paper's variants, named as
 :func:`repro.core.api.decompose` names them (DESIGN.md §3):
 
 * ``paral``  — synchronous (Jacobi) sweeps: each recomputes ``H^(n)``
@@ -17,12 +17,10 @@
 
 :func:`schedule` is that loop, Spark-free: pass 0 (the h-support) and
 the sweeps, each one message round in which every task runs
-:func:`update` on the edges it owns. :func:`iterate` builds the CSR on
-the driver and runs the rounds in one Spark job of ``k`` long-lived
-kernel tasks (:func:`_kernel_workers`); the H vector lives on the
-driver between rounds, as the paper's threads share it in memory.
-:class:`DecomposeResult` reports the job's launch, until every task has
-connected, and pass 0 as ``launch_s`` and ``support_s``.
+:func:`update` on the edges it owns. :func:`kernel_workers` is the
+round's transport: one Spark job of ``k`` long-lived kernel tasks, with
+the H vector on the driver between rounds, as the paper's threads share
+it in memory.
 """
 import os
 import secrets
@@ -31,19 +29,14 @@ import threading
 import time
 import zipimport
 from contextlib import contextmanager, suppress
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from multiprocessing import AuthenticationError
 from multiprocessing.connection import Client, Listener, wait
 
 import numpy as np
-import pandas as pd
 from pyspark import InheritableThread, SparkContext
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql.types import LongType, StructField, StructType
 
-from repro.graph.edges import edge_array
-
-from .kernel import UNBOUNDED, Csr, build_csr, frontier_mask, sweep
+from .kernel import UNBOUNDED, Csr, frontier_mask, sweep
 
 
 @dataclass
@@ -55,28 +48,6 @@ class SweepStats:
     recomputed: int
     dropped: int
     seconds: float
-
-
-@dataclass
-class DecomposeResult:
-    """Decomposition output: the trussness table, (in trace mode) the
-    per-sweep H-value tables of Figure 3, and one :class:`SweepStats`
-    per sweep.
-
-    ``launch_s`` is the seconds from the start of the call's Spark job
-    until every kernel task holds the CSR, and ``support_s`` the seconds
-    of pass 0, the h-support round. Both are 0.0 for Base."""
-
-    trussness: DataFrame
-    trace: list[pd.DataFrame] = field(default_factory=list)
-    stats: list[SweepStats] = field(default_factory=list)
-    launch_s: float = 0.0
-    support_s: float = 0.0
-
-    @property
-    def sweeps(self) -> int:
-        """The sweep count the paper's Figure 6 reports; 0 for Base."""
-        return len(self.stats)
 
 
 class NotConvergedError(RuntimeError):
@@ -92,9 +63,6 @@ class NotConvergedError(RuntimeError):
         self.last = last
 
 
-# Built once: a DDL string would be parsed in the JVM on every call.
-RESULT_SCHEMA = StructType([StructField(name, LongType())
-                            for name in ("src", "dst", "trussness")])
 _ASYN_BLOCKS = 4  # sub-blocks per task in Asyn and Paral+
 
 # Sweeps a call runs before it raises NotConvergedError.
@@ -103,12 +71,6 @@ MAX_SWEEPS = 10_000
 # How often the driver, while it waits on the workers, checks whether
 # their Spark job has ended.
 _POLL_S = 0.5
-
-
-def worker_count(sc: SparkContext, parallelism: int | None) -> int:
-    """Kernel tasks a call runs: ``parallelism`` (``None`` means
-    ``defaultParallelism``), capped at ``defaultParallelism``."""
-    return min(parallelism or sc.defaultParallelism, sc.defaultParallelism)
 
 
 def owned_edges(csr: Csr, k: int) -> list[np.ndarray]:
@@ -159,7 +121,7 @@ def merge(hval: np.ndarray, plan: list, replies: list) -> np.ndarray:
 def schedule(csr: Csr, h: int, variant: str, k: int, run):
     """Algorithm 2 for ``variant`` on ``k`` tasks, each owning a range of
     :func:`owned_edges`, through ``run(hval, plan)``, the message round
-    of :func:`_kernel_workers`; nothing here touches Spark.
+    of :func:`kernel_workers`; nothing here touches Spark.
 
     Yields ``(hval, stats)`` after pass 0 and after every sweep: the H
     vector and the :class:`SweepStats` of the sweeps so far. Ends after
@@ -196,62 +158,12 @@ def schedule(csr: Csr, h: int, variant: str, k: int, run):
     raise NotConvergedError(len(stats), stats[-1])
 
 
-def iterate(
-    spark: SparkSession,
-    edges,
-    h: int,
-    variant: str,
-    *,
-    parallelism: int | None = None,
-    trace: bool = False,
-) -> DecomposeResult:
-    """Compute the h-trussness of every edge (columns
-    ``src, dst, trussness``) with ``variant``, one of ``paral``,
-    ``single``, ``asyn`` and ``paral+``; :func:`repro.core.api.decompose`
-    checks the name.
-
-    ``parallelism`` is the number of kernel tasks, each owning a fixed
-    range of the edges (:func:`owned_edges`); ``None`` means
-    ``sparkContext.defaultParallelism``, and ``single`` runs one. The
-    tasks form one barrier stage, which needs all of them running at
-    once, so the count is capped at ``defaultParallelism`` (the task
-    slots of a local master) and at the number of edges.
-
-    Raises :class:`NotConvergedError` if :data:`MAX_SWEEPS` sweeps leave
-    some H-value still changing.
-    """
-    pairs = edge_array(edges)
-    if not len(pairs):
-        return DecomposeResult(result_table(spark, pairs, []))
-    csr = build_csr(pairs)
-    k = 1 if variant == "single" else min(
-        worker_count(spark.sparkContext, parallelism), csr.m)
-    traces = []
-    start = time.perf_counter()
-    with _kernel_workers(spark.sparkContext, csr, h, k) as run:
-        launch_s = time.perf_counter() - start
-        for state, stats in schedule(csr, h, variant, k, run):
-            if not stats:
-                support_s = time.perf_counter() - start - launch_s
-            if trace:
-                traces.append(_trace_frame(pairs, state))
-        # The tasks end while the driver builds the table.
-        run(None)
-        table = result_table(spark, pairs, state + 2)
-    return DecomposeResult(table, traces, stats, launch_s, support_s)
-
-
-def result_table(spark: SparkSession, pairs: np.ndarray, trussness) -> DataFrame:
-    """The :data:`RESULT_SCHEMA` table of the ``(m, 2)`` edges ``pairs``."""
-    out = pd.DataFrame({"src": pairs[:, 0], "dst": pairs[:, 1],
-                        "trussness": np.asarray(trussness, dtype=np.int64)})
-    return spark.createDataFrame(out, RESULT_SCHEMA)
-
-
 @contextmanager
-def _kernel_workers(sc: SparkContext, csr: Csr, h: int, k: int):
+def kernel_workers(sc: SparkContext, csr: Csr, h: int, k: int):
     """Run :func:`update` over ``csr`` in ``k`` stateless Spark tasks
-    that live as long as the ``with`` block.
+    that live as long as the ``with`` block; ``1 <= k``, and ``k`` at
+    most ``csr.m`` and ``sc.defaultParallelism``, since a barrier job
+    waits until all its tasks run at once.
 
     Yields ``run(hval, plan)``, one message round: task ``i`` gets
     ``(hval, plan[i])`` and replies with :func:`update` of its copy of
@@ -402,9 +314,3 @@ def _no_delay(conn):
     with socket.socket(fileno=os.dup(conn.fileno())) as sock:
         sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
     return conn
-
-
-def _trace_frame(pairs: np.ndarray, state: np.ndarray) -> pd.DataFrame:
-    """Per-edge H values of the current sweep (trace mode, Figure 3)."""
-    return pd.DataFrame({"src": pairs[:, 0], "dst": pairs[:, 1],
-                         "hval": state.copy()})

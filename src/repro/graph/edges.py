@@ -1,11 +1,12 @@
-"""Canonical edge / adjacency DataFrames.
+"""Canonical edges: :func:`edge_array` as a numpy ``(m, 2)`` array, the
+input of every decomposition, and :func:`edges_df` /
+:func:`adjacency_df` as the DataFrames of the dataflow reference layers.
 
-Conventions used across the whole reproduction:
-
-* ``edges``: columns ``src:long, dst:long, eid:long`` with ``src < dst``,
-  self-loops dropped, duplicates (either orientation) collapsed;
-  ``eid = src << 32 | dst`` is a collision-free 64-bit edge id (vertex
-  ids must fit in 32 bits — checked for every input form).
+* ``edges``: ``src < dst``, self-loops dropped, duplicates (either
+  orientation) collapsed. The DataFrame adds ``eid = src << 32 | dst``,
+  a collision-free 64-bit edge id (vertex ids must fit in 32 bits —
+  checked for every input form); the decomposition does not use it, as
+  its kernel numbers edges by their row in the array.
 * ``adjacency``: the symmetric closure, columns ``a:long, b:long,
   eid:long`` — one row per direction per edge.
 """

@@ -2,8 +2,9 @@
 
 Everything here is deliberately written in the most direct,
 definition-following style (plain dicts/sets, BFS), independent of the
-Spark implementations in :mod:`repro.core` and :mod:`repro.graph`, so a
-bug in the dataflow translation cannot hide in a shared helper.
+implementations in :mod:`repro.core` and :mod:`repro.graph` (the numpy
+kernel, Base's peeling and the dataflow reference layers), so a bug in
+one of them cannot hide in a shared helper.
 """
 from .graphs import adjacency, bfs_within, canonical_edges  # noqa: F401
 from .hindex import h_index  # noqa: F401

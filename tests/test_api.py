@@ -1,6 +1,7 @@
 """Tests for the `repro.core.api.decompose` front door."""
 import inspect
 
+import numpy as np
 import pytest
 
 import repro.core
@@ -47,6 +48,34 @@ class TestDecomposeApi:
             trace=True, parallelism=2,
         )
         assert len(res.trace) == res.sweeps + 1
+
+
+class TestOptionChecks:
+    """Options are checked before any Spark job, with every variant."""
+
+    EDGES = [(0, 1), (1, 2), (2, 0), (2, 3)]
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_bad_options_raise_before_any_job(self, sparkf, variant):
+        """``parallelism=-1`` once gave every edge a trussness of
+        ``UNBOUNDED + 2``, and Base at ``h=2.5`` the h=∞ answer."""
+        sc, group = sparkf.sparkContext, f"bad-options-{variant}"
+        sc.setJobGroup(group, "calls with bad options")
+        try:
+            for h, parallelism in [(2, -1), (2, 0), (2, 2.5), (0, None),
+                                   (2.5, None)]:
+                with pytest.raises(ValueError, match="integer >= 1"):
+                    decompose(sparkf, self.EDGES, h, variant,
+                              parallelism=parallelism)
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+        assert list(sc.statusTracker().getJobIdsForGroup(group)) == []
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_numpy_integers_are_accepted(self, sparkf, variant):
+        res = decompose(sparkf, self.EDGES, np.int64(2), variant,
+                        parallelism=np.int64(2))
+        assert _as_dict(res.trussness) == decompose_peeling(self.EDGES, 2)
 
 
 class TestOptionSurface:

@@ -54,6 +54,16 @@ class TestTableJobs:
                            "--scale", "0.05")
         assert f"| {slots + 1} | {slots} |" in lines[2]
 
+    def test_table4_default_levels(self, sparkf, capsys):
+        """Without ``--parallelism``, the levels are the powers of two up
+        to the session's task slots, each run with that many workers."""
+        slots = sparkf.sparkContext.defaultParallelism
+        _, lines = _tables(sparkf, capsys, "--tables", "4", "--datasets", "YT",
+                           "--h-values", "2", "--scale", "0.05")
+        levels = [1 << i for i in range(slots.bit_length())]
+        assert [line.split(" | ")[2:4] for line in lines[2:]] == [
+            [str(p), str(p)] for p in levels]
+
     def test_table5_tiny(self, sparkf, capsys):
         _, lines = _tables(sparkf, capsys, "--tables", "5", "--datasets", "YT",
                            "--h-values", "2", "--scale", "0.05")

@@ -334,6 +334,37 @@ class TestKernelWorkers:
         monkeypatch.undo()
         self._assert_toy_right(sparkf)
 
+    def test_cancelled_job_group_raises_promptly(self, sparkf, monkeypatch):
+        """Cancelling the caller's job group while every task hangs in a
+        round fails the call; the next call is unaffected."""
+        self._assert_toy_right(sparkf)
+        sc, group = sparkf.sparkContext, "paral-cancel-group"
+
+        def hang(*args):
+            time.sleep(2 * PROMPT_S)
+
+        def call():
+            # Local properties are pinned to the thread that sets them.
+            sc.setJobGroup(group, "a call cancelled in a round")
+            try:
+                return decompose(sparkf, self.TOY, 2, "paral", parallelism=4)
+            finally:
+                sc.setLocalProperty("spark.jobGroup.id", None)
+
+        monkeypatch.setattr(paral, "update", hang)
+        cancel = threading.Timer(3, sc.cancelJobGroup, [group])
+        with _no_leftovers():
+            cancel.start()
+            try:
+                with pytest.raises(Exception, match="cancelled"):
+                    _within(PROMPT_S, call)
+            finally:
+                cancel.cancel()
+                cancel.join()
+        assert len(sc.statusTracker().getJobIdsForGroup(group)) == 1
+        monkeypatch.undo()
+        self._assert_toy_right(sparkf)
+
     def test_unauthenticated_connection_is_dropped(self, sparkf, monkeypatch):
         """Every task first connects with a wrong key; the driver drops
         those connections and keeps accepting."""
