@@ -10,8 +10,8 @@ result as Parquet.
 """
 import argparse
 
-from repro.core import decompose
-from repro.graphgen import dataset_edges
+from repro.core.api import VARIANTS, decompose
+from repro.graphgen import DATASETS, dataset_edges
 
 
 def run(spark, dataset, h, variant="paral", scale=None, out=None):
@@ -30,24 +30,26 @@ def run(spark, dataset, h, variant="paral", scale=None, out=None):
     return hist, res.sweeps
 
 
-def main():
+def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--dataset", required=True)
+    ap.add_argument("--dataset", required=True, choices=sorted(DATASETS))
     ap.add_argument("--h", type=int, default=2)
-    ap.add_argument("--variant", default="paral")
+    ap.add_argument("--variant", default="paral", choices=VARIANTS)
     ap.add_argument("--scale", type=float, default=None)
     ap.add_argument("--out", default=None)
-    args = ap.parse_args()
+    args = ap.parse_args(argv)
     from _session import get_spark
 
     spark = get_spark(f"decompose-{args.dataset}-h{args.h}-{args.variant}")
-    hist, sweeps = run(
-        spark, args.dataset, args.h, args.variant, args.scale, args.out
-    )
+    try:
+        hist, sweeps = run(
+            spark, args.dataset, args.h, args.variant, args.scale, args.out
+        )
+    finally:
+        spark.stop()
     print(f"dataset={args.dataset} h={args.h} variant={args.variant} sweeps={sweeps}")
     for k in sorted(hist):
         print(f"  trussness {k}: {hist[k]} edges")
-    spark.stop()
 
 
 if __name__ == "__main__":

@@ -3,10 +3,9 @@ input of every decomposition, and :func:`edges_df` /
 :func:`adjacency_df` as the DataFrames of the dataflow reference layers.
 
 * ``edges``: ``src < dst``, self-loops dropped, duplicates (either
-  orientation) collapsed. The DataFrame adds ``eid = src << 32 | dst``,
-  a collision-free 64-bit edge id (vertex ids must fit in 32 bits —
-  checked for every input form); the decomposition does not use it, as
-  its kernel numbers edges by their row in the array.
+  orientation) collapsed, rows sorted. The DataFrame adds ``eid``, the
+  row's index in :func:`edge_array`: the numbering the kernel uses, so
+  vertex ids may use all 64 bits.
 * ``adjacency``: the symmetric closure, columns ``a:long, b:long,
   eid:long`` — one row per direction per edge.
 """
@@ -15,9 +14,6 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import IntegralType
-
-_MAX_VERTEX = (1 << 32) - 1
-_TOO_BIG = "vertex ids must fit in 32 bits for eid packing"
 
 
 def _endpoints(edges: DataFrame) -> DataFrame:
@@ -35,7 +31,7 @@ def _endpoints(edges: DataFrame) -> DataFrame:
 def _local_array(edges) -> np.ndarray:
     """An ``(m, 2)`` int64 array from a pair list, ndarray or pandas
     frame, or a :class:`ValueError` if ``edges`` is not ``m`` pairs of
-    integers (an empty input is the empty graph)."""
+    int64 ids (an empty input is the empty graph)."""
     arr = np.asarray(edges.to_numpy() if isinstance(edges, pd.DataFrame)
                      else edges if isinstance(edges, np.ndarray) else list(edges))
     if arr.size == 0:
@@ -45,14 +41,20 @@ def _local_array(edges) -> np.ndarray:
     if not np.issubdtype(arr.dtype, np.integer):
         raise ValueError(f"vertex ids must be integers, got {arr.dtype} "
                          "(a Spark table with null ids reads as float64)")
+    if not np.can_cast(arr.dtype, np.int64) and int(arr.max()) > np.iinfo(np.int64).max:
+        raise ValueError(f"vertex ids must fit in int64, got {int(arr.max())}")
     return arr.astype(np.int64)
 
 
 def edge_array(edges) -> np.ndarray:
     """The canonical edge list as a sorted ``(m, 2)`` int64 array of
-    ``(src, dst)`` rows with ``src < dst``, from any input
-    :func:`edges_df` accepts. A Spark DataFrame is collected to the
-    driver (one Spark job); vertex ids may use all 64 bits.
+    ``(src, dst)`` rows with ``src < dst``.
+
+    ``edges`` may be a list of ``(u, v)`` pairs, an ``(m, 2)`` ndarray, a
+    pandas DataFrame with two columns, or a Spark DataFrame with two
+    integer columns; a Spark DataFrame is collected to the driver (one
+    Spark job). Any other shape, and ids that are null, not integers or
+    outside int64, raise :class:`ValueError`.
     """
     if isinstance(edges, DataFrame):
         edges = _endpoints(edges).toPandas()
@@ -62,40 +64,12 @@ def edge_array(edges) -> np.ndarray:
 
 
 def edges_df(spark: SparkSession, edges) -> DataFrame:
-    """Build the canonical edge DataFrame from an edge list.
-
-    ``edges`` may be a list of ``(u, v)`` pairs, an ``(m, 2)`` ndarray, a
-    pandas DataFrame with two columns, or a Spark DataFrame with two
-    integer columns. Any other shape, or ids that are not integers,
-    raise :class:`ValueError`. Canonicalization happens in the dataflow,
-    so an uncanonical Spark input is fine.
-    """
-    if isinstance(edges, DataFrame):
-        raw = _endpoints(edges)
-        # Checked inside the plan, so the check costs no Spark job.
-        raw = raw.select(
-            F.when(F.greatest("u", "v") > _MAX_VERTEX, F.raise_error(F.lit(_TOO_BIG)))
-            .otherwise(F.col("u"))
-            .alias("u"),
-            "v",
-        )
-    else:
-        arr = _local_array(edges)
-        if len(arr) and arr.max() > _MAX_VERTEX:
-            raise ValueError(_TOO_BIG)
-        raw = spark.createDataFrame(
-            pd.DataFrame({"u": arr[:, 0], "v": arr[:, 1]}),
-            schema="u long, v long",  # explicit: inference fails on empty input
-        )
-    return (
-        raw.where(F.col("u") != F.col("v"))
-        .select(
-            F.least("u", "v").alias("src"),
-            F.greatest("u", "v").alias("dst"),
-        )
-        .distinct()
-        .withColumn("eid", F.expr("shiftleft(src, 32) + dst"))
-    )
+    """:func:`edge_array` of ``edges`` as a DataFrame ``(src, dst, eid)``
+    with ``eid`` the row index."""
+    arr = edge_array(edges)
+    pdf = pd.DataFrame({"src": arr[:, 0], "dst": arr[:, 1], "eid": np.arange(len(arr))})
+    # An explicit schema: inference fails on empty input.
+    return spark.createDataFrame(pdf, schema="src long, dst long, eid long")
 
 
 def adjacency_df(edges: DataFrame) -> DataFrame:

@@ -53,7 +53,7 @@ def dataset_edges(key: str, scale: float | None = None) -> np.ndarray:
     """Edge list of a stand-in at ``scale`` × the paper's size.
 
     ``scale=None`` uses the spec's default bench scale. Deterministic in
-    the spec's seed, so tests, tables and the DuckDB oracle all see the
+    the spec's seed, so tests, tables and the benchmark all see the
     same graph.
     """
     spec = DATASETS[key]

@@ -7,6 +7,7 @@ import pytest
 JOBS = Path(__file__).resolve().parents[1] / "jobs"
 sys.path.insert(0, str(JOBS))
 
+import _session  # noqa: E402
 import run_decomposition  # noqa: E402
 import tables  # noqa: E402
 
@@ -85,3 +86,15 @@ class TestTableJobs:
         assert sum(hist.values()) > 0
         assert sweeps >= 1
         assert all(k >= 2 for k in hist)
+
+    @pytest.mark.parametrize("argv", [
+        ["--dataset", "XX"],
+        ["--dataset", "YT", "--variant", "fast"],
+    ], ids=["dataset", "variant"])
+    def test_run_decomposition_rejects_before_spark(self, monkeypatch, capsys, argv):
+        started = []
+        monkeypatch.setattr(_session, "get_spark", started.append)
+        with pytest.raises(SystemExit) as exc:
+            run_decomposition.main(argv)
+        assert exc.value.code == 2 and started == []
+        assert "invalid choice" in capsys.readouterr().err

@@ -1,50 +1,48 @@
-"""Tests for the canonical edge and adjacency DataFrames."""
+"""Tests for the canonical edge array and the edge and adjacency
+DataFrames built from it."""
 import numpy as np
 import pandas as pd
 import pytest
 
 from repro.graph.edges import adjacency_df, edge_array, edges_df
+from repro.graph.hops import hop_pairs_df
+from repro.graph.triads import h_support_df
+from repro.pyref import all_h_supports
 from repro.pyref.graphs import adjacency, canonical_edges
 
 from .graph_catalog import SMALL_GRAPHS
 
 
-def _collect_edges(df):
-    return sorted((r.src, r.dst) for r in df.collect())
-
-
-class TestEdgesDf:
+class TestEdgeArray:
     @pytest.mark.parametrize("name", sorted(SMALL_GRAPHS))
-    def test_matches_reference_canonicalization(self, sparkf, name):
-        got = _collect_edges(edges_df(sparkf, SMALL_GRAPHS[name]))
+    def test_matches_reference_canonicalization(self, name):
+        got = [tuple(e) for e in edge_array(SMALL_GRAPHS[name]).tolist()]
         assert got == canonical_edges(SMALL_GRAPHS[name])
 
-    def test_accepts_pandas(self, sparkf):
+    def test_accepts_pandas(self):
         pdf = pd.DataFrame({"u": [2, 1, 3], "v": [1, 2, 3]})
-        assert _collect_edges(edges_df(sparkf, pdf)) == [(1, 2)]
+        assert edge_array(pdf).tolist() == [[1, 2]]
 
     def test_accepts_spark_df(self, sparkf):
         raw = sparkf.createDataFrame(pd.DataFrame({"x": [5, 5], "y": [1, 1]}))
-        assert _collect_edges(edges_df(sparkf, raw)) == [(1, 5)]
+        assert edge_array(raw).tolist() == [[1, 5]]
 
-    def test_eid_is_unique_and_packed(self, sparkf):
-        df = edges_df(sparkf, SMALL_GRAPHS["toy"])
-        rows = df.collect()
-        eids = [r.eid for r in rows]
-        assert len(set(eids)) == len(eids)
-        for r in rows:
-            assert r.eid == (r.src << 32) + r.dst
 
-    def test_rejects_oversized_vertices(self, sparkf):
-        with pytest.raises(ValueError, match="32 bits"):
-            edges_df(sparkf, [(0, 1 << 33)])
+class TestEdgesDf:
+    def test_eid_is_the_edge_array_row(self, sparkf):
+        rows = edges_df(sparkf, SMALL_GRAPHS["toy"]).collect()
+        expected = enumerate(edge_array(SMALL_GRAPHS["toy"]).tolist())
+        assert sorted((r.eid, [r.src, r.dst]) for r in rows) == list(expected)
 
-    def test_rejects_oversized_vertices_spark(self, sparkf):
-        """(1, 2**32 + 5) would pack to the eid of (2, 5)."""
-        raw = sparkf.createDataFrame([(1, 2**32 + 5), (2, 5)], "u long, v long")
-        df = edges_df(sparkf, raw)
-        with pytest.raises(Exception, match="32 bits"):
-            df.collect()
+    def test_accepts_ids_beyond_32_bits(self, sparkf):
+        """(1, 2**32 + 5) and (2, 5) are two edges, though
+        ``2**32 * src + dst`` is the same for both."""
+        big = 2**32 + 5
+        edges = [(1, big), (2, 5), (1, 2), (2, big), (5, big), (1, 5)]
+        e = edges_df(sparkf, sparkf.createDataFrame(edges, "u long, v long"))
+        assert e.select("eid").distinct().count() == len(edges)
+        got = h_support_df(e, hop_pairs_df(e, 2)).collect()
+        assert {(r.src, r.dst): r.support for r in got} == all_h_supports(edges, 2)
 
 
 class TestAdjacencyDf:
@@ -104,10 +102,18 @@ class TestEdgeArrayValidation:
         with pytest.raises(ValueError, match="integers"):
             edge_array(df)
 
-    def test_edges_df_rejects_spark_double_columns(self, sparkf):
-        df = sparkf.createDataFrame([(0.5, 2.7)], "u double, v double")
+    @pytest.mark.parametrize(("rows", "schema"), [
+        ([(0.5, 2.7)], "u double, v double"),
+        ([(1, 2), (2, None), (3, 1)], "u long, v long"),
+    ], ids=["double", "null"])
+    def test_edges_df_rejects_spark_double_columns(self, sparkf, rows, schema):
         with pytest.raises(ValueError, match="integers"):
-            edges_df(sparkf, df)
+            edges_df(sparkf, sparkf.createDataFrame(rows, schema))
+
+    def test_unsigned_ids_beyond_int64(self):
+        arr = np.array([[1, 2**64 - 1], [3, 2**63 + 2]], dtype=np.uint64)
+        with pytest.raises(ValueError, match="int64"):
+            edge_array(arr)
 
     def test_empty_list_is_the_empty_graph(self):
         assert edge_array([]).shape == (0, 2)

@@ -45,11 +45,12 @@ def _adj_val(sparkf, edges, values):
     e = edges_df(sparkf, edges)
     vals = sparkf.createDataFrame(
         pd.DataFrame(
-            [((u << 32) + v, val) for (u, v), val in values.items()],
-            columns=["eid", "hval"],
+            [(u, v, val) for (u, v), val in values.items()],
+            columns=["src", "dst", "hval"],
         )
     )
-    return adjacency_df(e).join(vals, on="eid").select("a", "b", "hval")
+    hval = e.join(vals, on=["src", "dst"]).select("eid", "hval")
+    return adjacency_df(e).join(hval, on="eid").select("a", "b", "hval")
 
 
 def _ref_all_path_keys(edges, h, values):

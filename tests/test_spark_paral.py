@@ -1,8 +1,8 @@
 """End-to-end tests for Algorithm 2 and its variants (the contribution).
 
-Every variant must produce exactly the peeling trussness (Theorem 2);
-traces must be monotone (Theorem 1); Asyn must not need more sweeps than
-Paral (§4.3); results are also pushed through the DuckDB oracle.
+Every variant must produce exactly the peeling trussness (Theorem 2) of
+``repro.pyref``; traces must be monotone (Theorem 1); Asyn must not need
+more sweeps than Paral (§4.3).
 """
 import gc
 import os
@@ -11,7 +11,6 @@ import time
 import zipimport
 from contextlib import contextmanager
 
-import pandas as pd
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -20,7 +19,6 @@ from repro.core import paral
 from repro.core.api import VARIANTS, decompose
 from repro.core.paral import NotConvergedError
 from repro.graphgen import dataset_edges
-from repro.oracle import assert_equivalent
 from repro.pyref import (
     all_h_supports, canonical_edges, decompose_peeling, serial_hindex_decompose,
 )
@@ -105,8 +103,8 @@ class TestParalCorrectness:
         assert res.sweeps == 0
 
     def test_spark_input_beyond_32_bit_ids(self, sparkf):
-        """Packed as ``src << 32 | dst``, (1, 2**32 + 5) and (2, 5) would
-        share an edge id."""
+        """(1, 2**32 + 5) and (2, 5) are two edges, though
+        ``2**32 * src + dst`` is the same for both."""
         big = 2**32 + 5
         edges = [(1, big), (2, 5), (1, 2), (2, big), (5, big), (1, 5)]
         raw = sparkf.createDataFrame(edges, "u long, v long")
@@ -118,17 +116,9 @@ class TestParalCorrectness:
                         parallelism=2)
         assert _as_dict(res.trussness) == {(3, 7): 2}
 
-    def test_result_via_duckdb_oracle(self, sparkf, toy_paral):
-        expected = decompose_peeling(SMALL_GRAPHS["toy"], 2)
-        expected_pdf = pd.DataFrame(
-            [(u, v, t) for (u, v), t in sorted(expected.items())],
-            columns=["src", "dst", "trussness"],
-        )
-        assert_equivalent(
-            toy_paral.trussness.select("src", "dst", "trussness"),
-            "SELECT src, dst, trussness FROM expected",
-            expected=expected_pdf,
-        )
+    def test_traced_result_matches_peeling(self, sparkf, toy_paral):
+        toy = SMALL_GRAPHS["toy"]
+        assert _as_dict(toy_paral.trussness) == decompose_peeling(toy, 2)
 
 
 class TestVariants:
