@@ -105,9 +105,9 @@ def decompose(
     k = 1 if variant == "single" else min(worker_count(sc, parallelism), csr.m)
     traces = []
     start = time.perf_counter()
-    with kernel_workers(sc, csr, h, k) as run:
+    with kernel_workers(sc, csr, h, variant, k) as run:
         launch_s = time.perf_counter() - start
-        for state, stats in schedule(csr, h, variant, k, run):
+        for state, stats in schedule(csr.m, run):
             if not stats:
                 support_s = time.perf_counter() - start - launch_s
             if trace:

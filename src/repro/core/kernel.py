@@ -17,9 +17,9 @@ Vertices are dense ids ``0..n-1`` and edges dense ids ``0..m-1``. With
 every H-value at :data:`UNBOUNDED`, ``ℋ`` of ``|Δ(e)|`` copies of it is
 ``|Δ(e)|``, so the same call computes the h-support ``H^(0)``.
 
-Nothing here touches Spark. ``repro.core.paral`` runs :func:`sweep` in
-its Spark tasks, each on the sub-blocks of the edges it owns, and
-:func:`frontier_mask`, Paral+'s Lemma-4 pruning, on the driver.
+Nothing here touches Spark. ``repro.core.paral``'s tasks run :func:`sweep`
+on the sub-blocks of the edges they own, and Paral+'s tasks run
+:func:`frontier_mask`, Lemma 4's pruning, between their sweeps.
 """
 from dataclasses import dataclass
 

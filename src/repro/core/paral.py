@@ -1,6 +1,6 @@
 """Algorithm 2 — the parallel H-index decomposition framework.
 
-:func:`schedule` runs four of the paper's variants, named as
+:func:`task` runs four of the paper's variants, named as
 :func:`repro.core.api.decompose` names them (DESIGN.md §3):
 
 * ``paral``  — synchronous (Jacobi) sweeps: each recomputes ``H^(n)``
@@ -15,12 +15,12 @@
   edges in the :func:`~repro.core.kernel.frontier_mask` of the sweep
   before (substitution 3); the others would keep their values.
 
-:func:`schedule` is that loop, Spark-free: pass 0 (the h-support) and
-the sweeps, each one message round in which every task runs
-:func:`update` on the edges it owns. :func:`kernel_workers` is the
-round's transport: one Spark job of ``k`` long-lived kernel tasks, with
-the H vector on the driver between rounds, as the paper's threads share
-it in memory.
+:func:`schedule`, Spark-free and blind to the variant, is the driver's
+loop: pass 0 (the h-support) and the sweeps, each one message round of
+the H vector. :func:`kernel_workers` is the round's transport: one Spark
+job of ``k`` long-lived kernel tasks, each owning its edges for the call,
+with the H vector on the driver between rounds, as the paper's threads
+share it in memory.
 """
 import os
 import secrets
@@ -101,57 +101,55 @@ def owned_edges(csr: Csr, k: int) -> list[np.ndarray]:
     return np.split(order, cuts)
 
 
-def update(csr: Csr, hval: np.ndarray, blocks: list[np.ndarray], h: int) -> np.ndarray:
-    """A kernel task's part of a round: each sub-block of edge ids in
-    ``blocks`` in turn recomputed into ``hval`` (Gauss–Seidel), and the
-    new values of ``concatenate(blocks)`` returned."""
-    for eids in blocks:
-        hval[eids] = sweep(csr, hval, eids, h)
-    return hval[np.concatenate(blocks)]
+def task(csr: Csr, h: int, variant: str, eids: np.ndarray):
+    """A kernel task of ``variant`` over the edge ids ``eids`` it owns: a
+    generator, primed with ``next``, then sent one H vector a round, which
+    it leaves as it is; it replies with its edges' new values, in ``eids``
+    order, and how many it recomputed. Round 1 is pass 0. Later rounds
+    sweep ``eids`` in ascending ``H^(0)``, ties in owned order, as one block,
+    or as :data:`_ASYN_BLOCKS` for Asyn and Paral+; a Paral+ sweep after the
+    first skips the edges outside the frontier of the last two vectors sent."""
+    hval = yield
+    support = sweep(csr, hval, eids, h)  # hval is all UNBOUNDED
+    hval = yield support, len(eids)
+    parts = _ASYN_BLOCKS if variant in ("asyn", "paral+") else 1
+    blocks = todo = np.array_split(eids[np.argsort(support, kind="stable")], parts)
+    while True:
+        new = hval.copy()
+        for b in todo:
+            new[b] = sweep(csr, new, b, h)
+        sent, hval = hval, (yield new[eids], sum(map(len, todo)))
+        if variant == "paral+":
+            frontier = frontier_mask(csr, sent, hval, h)
+            todo = [b[frontier[b]] for b in blocks]
 
 
-def merge(hval: np.ndarray, plan: list, replies: list) -> np.ndarray:
-    """``hval`` with each task's planned edges set to its reply's values."""
-    new = hval.copy()
-    for blocks, values in zip(plan, replies):
-        new[np.concatenate(blocks)] = values
-    return new
+def merge(owned: list[np.ndarray], replies: list) -> tuple[np.ndarray, int]:
+    """The H vector a round leaves, each task's ``owned`` edges set to
+    the values of its reply, and the edges the tasks recomputed."""
+    hval = np.empty(sum(map(len, owned)), dtype=np.int64)
+    hval[np.concatenate(owned)] = np.concatenate([values for values, _ in replies])
+    return hval, sum(n for _, n in replies)
 
 
-def schedule(csr: Csr, h: int, variant: str, k: int, run):
-    """Algorithm 2 for ``variant`` on ``k`` tasks, each owning a range of
-    :func:`owned_edges`, through ``run(hval, plan)``, the message round
-    of :func:`kernel_workers`; nothing here touches Spark.
+def schedule(m: int, run):
+    """Algorithm 2's loop over an H vector of ``m`` edges, Spark-free:
+    ``run(hval)``, the message round of :func:`kernel_workers`, returns
+    the next H vector and the edges recomputed.
 
     Yields ``(hval, stats)`` after pass 0 and after every sweep: the H
     vector and the :class:`SweepStats` of the sweeps so far. Ends after
     the first sweep that lowers no H-value; raises
     :class:`NotConvergedError` if :data:`MAX_SWEEPS` sweeps do not.
     """
-    owned = owned_edges(csr, k)
-    # Lines 1-3: H^(0) = h-support.
-    jacobi = [[e] for e in owned]  # one block per task
-    state = run(np.full(csr.m, UNBOUNDED, dtype=np.int64), jacobi)
+    state, _ = run(np.full(m, UNBOUNDED, dtype=np.int64))  # lines 1-3: h-support
     stats = []
     yield state, stats
-
-    plan = jacobi
-    if variant in ("asyn", "paral+"):
-        # Sub-blocks of ascending H^(0), ties in owned order, so drops
-        # propagate in peeling order within a sweep.
-        plan = [np.array_split(e[np.argsort(state[e], kind="stable")], _ASYN_BLOCKS)
-                for e in owned]
-    frontier = None  # Paral+: the edges the last sweep's drops may lower
     for _ in range(MAX_SWEEPS):
         start, old = time.perf_counter(), state
-        passes = plan if frontier is None else [
-            [b[frontier[b]] for b in blocks] for blocks in plan]
-        state = run(old, passes)
+        state, recomputed = run(old)
         dropped = int(np.count_nonzero(state < old))
-        if variant == "paral+":
-            frontier = frontier_mask(csr, old, state, h)
-        stats.append(SweepStats(sum(len(b) for bs in passes for b in bs),
-                                dropped, time.perf_counter() - start))
+        stats.append(SweepStats(recomputed, dropped, time.perf_counter() - start))
         yield state, stats
         if not dropped:
             return
@@ -159,26 +157,26 @@ def schedule(csr: Csr, h: int, variant: str, k: int, run):
 
 
 @contextmanager
-def kernel_workers(sc: SparkContext, csr: Csr, h: int, k: int):
-    """Run :func:`update` over ``csr`` in ``k`` stateless Spark tasks
+def kernel_workers(sc: SparkContext, csr: Csr, h: int, variant: str, k: int):
+    """Run :func:`task` of ``variant`` over ``csr`` in ``k`` Spark tasks
     that live as long as the ``with`` block; ``1 <= k``, and ``k`` at
     most ``csr.m`` and ``sc.defaultParallelism``, since a barrier job
     waits until all its tasks run at once.
 
-    Yields ``run(hval, plan)``, one message round: task ``i`` gets
-    ``(hval, plan[i])`` and replies with :func:`update` of its copy of
-    H, and ``run`` returns the replies' :func:`merge`. ``run(None)``
-    sends the release, the only other message; the CSR travels in the
-    tasks' closure. The tasks form one barrier job, launched from an
+    Each task's first message is its range of :func:`owned_edges`.
+    Yields ``run(hval)``, one message round: every task is sent ``hval``,
+    and ``run`` returns the :func:`merge` of their replies. ``run(None)``
+    sends the release; the CSR travels in the tasks' closure. The tasks
+    form one barrier job, launched from an
     :class:`~pyspark.InheritableThread` so the caller's job group covers
     it; they connect back to a listener on ``spark.driver.host`` that
     admits only holders of a fresh per-call key, and the block is
-    entered once every task has. Each task first calls
-    :func:`_skip_unchanged_zip_rereads`, which speeds up the start of
-    later tasks in its worker process. If the job fails, the waiting
-    driver raises its error. On leaving the block the connections are
-    closed (a task not yet released exits on EOF), then the listener,
-    and the job thread is joined.
+    entered once every task has connected and been sent its range. Each
+    task first calls :func:`_skip_unchanged_zip_rereads`, which speeds
+    up the start of later tasks in its worker process. If the job fails,
+    the waiting driver raises its error. On leaving the block the
+    connections are closed (a task not yet released exits on EOF), then
+    the listener, and the job thread is joined.
     """
     # Both ends unpickle what they receive: only holders of this key may
     # connect.
@@ -191,9 +189,11 @@ def kernel_workers(sc: SparkContext, csr: Csr, h: int, k: int):
         _skip_unchanged_zip_rereads()
         with Client(address, authkey=authkey) as conn, suppress(EOFError):
             _no_delay(conn)
+            rounds = task(csr, h, variant, conn.recv())
+            next(rounds)
             # EOF: the driver gave up on the call and closed the connection.
-            while (msg := conn.recv()) is not None:
-                conn.send(update(csr, *msg, h))  # msg: (hval, blocks)
+            while (hval := conn.recv()) is not None:
+                conn.send(rounds.send(hval))
         return iter(())
 
     failure, done = [], threading.Event()
@@ -247,15 +247,14 @@ def kernel_workers(sc: SparkContext, csr: Csr, h: int, k: int):
                     lost()
         return [replies[conn] for conn in conns]
 
-    def run(hval, plan=None):
-        if hval is None:
-            return send([None] * k)
-        send((hval, blocks) for blocks in plan)
-        return merge(hval, plan, gather())
+    def run(hval):
+        send([hval] * k)
+        return None if hval is None else merge(owned, gather())
 
     thread = InheritableThread(target=job, daemon=True)
     try:
         thread.start()
+        owned = owned_edges(csr, k)  # while the tasks start
         while len(conns) < k:
             try:
                 conns.append(_no_delay(listener.accept()))
@@ -263,6 +262,7 @@ def kernel_workers(sc: SparkContext, csr: Csr, h: int, k: int):
                 pass  # not a kernel task, or the job's wake-up call: dropped
             if done.is_set():
                 lost()
+        send(owned)
         yield run
     finally:
         close()

@@ -9,6 +9,8 @@ input of every decomposition, and :func:`edges_df` /
 * ``adjacency``: the symmetric closure, columns ``a:long, b:long,
   eid:long`` — one row per direction per edge.
 """
+from numbers import Integral
+
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
@@ -32,17 +34,27 @@ def _local_array(edges) -> np.ndarray:
     """An ``(m, 2)`` int64 array from a pair list, ndarray or pandas
     frame, or a :class:`ValueError` if ``edges`` is not ``m`` pairs of
     int64 ids (an empty input is the empty graph)."""
-    arr = np.asarray(edges.to_numpy() if isinstance(edges, pd.DataFrame)
-                     else edges if isinstance(edges, np.ndarray) else list(edges))
+    raw = (edges.to_numpy() if isinstance(edges, pd.DataFrame)
+           else edges if isinstance(edges, np.ndarray) else list(edges))
+    arr = np.asarray(raw)
     if arr.size == 0:
         return np.empty((0, 2), dtype=np.int64)
     if arr.ndim != 2 or arr.shape[1] != 2:
         raise ValueError(f"edges must have shape (m, 2), got {arr.shape}")
-    if not np.issubdtype(arr.dtype, np.integer):
+    ints = np.issubdtype(arr.dtype, np.integer)
+    if arr.dtype.kind in "fO":
+        # numpy reads Python ints beyond int64 as float64 or object.
+        ids = np.asarray(raw, dtype=object)
+        ints = all(isinstance(x, Integral) for x in ids.flat)
+        arr = ids if ints else arr
+    if not ints:
         raise ValueError(f"vertex ids must be integers, got {arr.dtype} "
                          "(a Spark table with null ids reads as float64)")
-    if not np.can_cast(arr.dtype, np.int64) and int(arr.max()) > np.iinfo(np.int64).max:
-        raise ValueError(f"vertex ids must fit in int64, got {int(arr.max())}")
+    if not np.can_cast(arr.dtype, np.int64):
+        int64 = np.iinfo(np.int64)
+        for x in (int(arr.min()), int(arr.max())):
+            if not int64.min <= x <= int64.max:
+                raise ValueError(f"vertex ids must fit in int64, got {x}")
     return arr.astype(np.int64)
 
 

@@ -46,15 +46,22 @@ class Graph:
 
 def schedule_states(csr, h, variant, k):
     """The H vectors :func:`paral.schedule` yields for ``variant`` on ``k``
-    tasks, after pass 0 and after every sweep, with the message round run
-    in this process: each task's reply is :func:`paral.update` of its own
-    copy of H, and :func:`paral.merge` writes the replies."""
+    tasks, after pass 0 and after every sweep, and its :class:`SweepStats`,
+    with the message round run in this process: each owned range's
+    :func:`paral.task` is sent the H vector, and :func:`paral.merge`
+    writes the replies."""
+    owned = paral.owned_edges(csr, min(k, csr.m))
+    tasks = [paral.task(csr, h, variant, eids) for eids in owned]
+    for t in tasks:
+        next(t)
 
-    def run(hval, plan):
-        replies = [paral.update(csr, hval.copy(), blocks, h) for blocks in plan]
-        return paral.merge(hval, plan, replies)
+    def run(hval):
+        return paral.merge(owned, [t.send(hval) for t in tasks])
 
-    return [hval for hval, _ in paral.schedule(csr, h, variant, min(k, csr.m), run)]
+    states = []
+    for hval, stats in paral.schedule(csr.m, run):
+        states.append(hval)
+    return states, stats
 
 
 @pytest.mark.parametrize("h", [1, 2, 3])
@@ -123,7 +130,7 @@ class TestAgainstReference:
         # sub-block read lay in (new[d], old[d]].
         for k in (1, 2, 4):
             for variant in ("asyn", "paral+"):
-                states = schedule_states(g.csr, h, variant, k)
+                states, _ = schedule_states(g.csr, h, variant, k)
                 for old, new in zip(states, states[1:]):
                     mask = frontier_mask(g.csr, old, new, h)
                     nxt = sweep(g.csr, new, every, h)
@@ -135,8 +142,22 @@ class TestAgainstReference:
         g = Graph(raw)
         expected = decompose_peeling(raw, h)
         for variant in ("asyn", "paral+"):
-            final = schedule_states(g.csr, h, variant, k)[-1]
+            final = schedule_states(g.csr, h, variant, k)[0][-1]
             assert g.as_map(final + 2) == expected, variant
+
+    @pytest.mark.parametrize("k", [1, 2, 4])
+    def test_recomputed_edges(self, name, raw, h, k):
+        """Paral and Asyn recompute every edge in every sweep; Paral+ every
+        edge in its first sweep, then the frontier of the two sweeps before."""
+        g = Graph(raw)
+        m = len(g.edges)
+        for variant in ("paral", "asyn"):
+            _, stats = schedule_states(g.csr, h, variant, k)
+            assert [s.recomputed for s in stats] == [m] * len(stats), variant
+        states, stats = schedule_states(g.csr, h, "paral+", k)
+        expected = [m] + [int(frontier_mask(g.csr, old, new, h).sum())
+                          for old, new in zip(states[:-2], states[1:-1])]
+        assert [s.recomputed for s in stats] == expected
 
 
 @pytest.mark.parametrize(("name", "raw"), GRAPHS)

@@ -115,6 +115,18 @@ class TestEdgeArrayValidation:
         with pytest.raises(ValueError, match="int64"):
             edge_array(arr)
 
+    @pytest.mark.parametrize("big", [2**64 - 1, 2**70, -2**70],
+                             ids=["uint64-max", "2^70", "-2^70"])
+    def test_python_ids_beyond_int64(self, big):
+        """numpy reads these lists as float64 or object, not as integers."""
+        with pytest.raises(ValueError, match="int64"):
+            edge_array([[1, big]])
+
+    def test_object_array_of_int64_ids(self):
+        hi = np.iinfo(np.int64).max
+        arr = np.array([[hi, 1], [3, 2]], dtype=object)
+        assert edge_array(arr).tolist() == [[1, hi], [2, 3]]
+
     def test_empty_list_is_the_empty_graph(self):
         assert edge_array([]).shape == (0, 2)
 

@@ -75,6 +75,22 @@ def _within(seconds, fn, *args, **kwargs):
     return out["value"]
 
 
+def _after_pass_zero(then):
+    """A stand-in for :func:`paral.task` that runs pass 0 as the real one
+    does, then calls ``then()`` when its first sweep's vector arrives.
+    Patching ``paral.task`` reaches the kernel tasks: the closure they
+    run takes the module's ``task`` as it is when the job starts."""
+    real = paral.task
+
+    def rounds(*args):
+        inner = real(*args)
+        hval = yield next(inner)
+        yield inner.send(hval)
+        then()
+
+    return rounds
+
+
 @pytest.fixture(scope="module")
 def toy_paral(sparkf):
     """One traced Paral run on the toy graph, shared by several tests."""
@@ -308,16 +324,17 @@ class TestKernelWorkers:
         with _no_leftovers():
             self._assert_toy_right(sparkf)
 
-    @pytest.mark.parametrize("where", ["update", "Client"])
+    @pytest.mark.parametrize("where", ["task", "Client"])
     def test_worker_failure_raises_promptly(self, sparkf, monkeypatch, where):
-        """A task that fails in a round (``update``) or before it connects
+        """A task that fails after pass 0 (``task``) or before it connects
         (``Client``) fails the call; the next call is unaffected."""
         self._assert_toy_right(sparkf)
 
         def broken(*args, **kwargs):
             raise ValueError("injected task failure")
 
-        monkeypatch.setattr(paral, where, broken)
+        monkeypatch.setattr(paral, where,
+                            _after_pass_zero(broken) if where == "task" else broken)
         with _no_leftovers(), pytest.raises(Exception, match="injected task failure"):
             _within(PROMPT_S, decompose, sparkf, self.TOY, 2, "paral",
                     parallelism=4)
@@ -330,7 +347,7 @@ class TestKernelWorkers:
         self._assert_toy_right(sparkf)
         sc, group = sparkf.sparkContext, "paral-cancel-group"
 
-        def hang(*args):
+        def hang():
             time.sleep(2 * PROMPT_S)
 
         def call():
@@ -341,7 +358,7 @@ class TestKernelWorkers:
             finally:
                 sc.setLocalProperty("spark.jobGroup.id", None)
 
-        monkeypatch.setattr(paral, "update", hang)
+        monkeypatch.setattr(paral, "task", _after_pass_zero(hang))
         cancel = threading.Timer(3, sc.cancelJobGroup, [group])
         with _no_leftovers():
             cancel.start()
