@@ -105,7 +105,7 @@ def decompose(
     k = 1 if variant == "single" else min(worker_count(sc, parallelism), csr.m)
     traces = []
     start = time.perf_counter()
-    with kernel_workers(sc, csr, h, variant, k) as run:
+    with kernel_workers(spark, csr, h, variant, k) as run:
         launch_s = time.perf_counter() - start
         for state, stats in schedule(csr.m, run):
             if not stats:
@@ -113,7 +113,7 @@ def decompose(
             if trace:
                 traces.append(pd.DataFrame(
                     {"src": pairs[:, 0], "dst": pairs[:, 1], "hval": state}))
-        # The tasks end while the driver builds the table.
+        # The tasks end on EOF while the driver builds the table.
         run(None)
         table = _result_table(spark, pairs, state + 2)
     return DecomposeResult(table, traces, stats, launch_s, support_s)

@@ -19,7 +19,8 @@ every H-value at :data:`UNBOUNDED`, ``ℋ`` of ``|Δ(e)|`` copies of it is
 
 Nothing here touches Spark. ``repro.core.paral``'s tasks run :func:`sweep`
 on the sub-blocks of the edges they own, and Paral+'s tasks run
-:func:`frontier_mask`, Lemma 4's pruning, between their sweeps.
+:func:`frontier_mask`, Lemma 4's pruning, over their own edges between
+their sweeps.
 """
 from dataclasses import dataclass
 
@@ -163,10 +164,12 @@ def sweep(csr: Csr, hval: np.ndarray, eids: np.ndarray, h: int) -> np.ndarray:
     return h_index(values, edge[found], k)
 
 
-def frontier_mask(csr: Csr, old: np.ndarray, new: np.ndarray, h: int) -> np.ndarray:
-    """Boolean edge mask of Paral+'s frontier after a sweep took the H
-    vector from ``old`` to ``new`` (both finite): the edges Lemma 4 says
-    the next sweep may lower.
+def frontier_mask(csr: Csr, old: np.ndarray, new: np.ndarray, h: int,
+                  eids: np.ndarray) -> np.ndarray:
+    """Boolean mask over the edges ``eids`` of Paral+'s frontier after a
+    sweep took the H vector from ``old`` to ``new`` (both finite): the
+    edges Lemma 4 says the next sweep may lower. The index of dropped
+    edges covers every drop; only the edges ``eids`` are looked up in it.
 
     Edge ``e`` is in it when some edge ``d`` dropped across its value,
     ``new[d] < new[e] <= old[d]``, and an endpoint of ``d`` lies within
@@ -177,7 +180,7 @@ def frontier_mask(csr: Csr, old: np.ndarray, new: np.ndarray, h: int) -> np.ndar
     """
     dropped = np.flatnonzero(new < old)
     if not len(dropped):
-        return np.zeros(csr.m, dtype=bool)
+        return np.zeros(len(eids), dtype=bool)
     n = np.int64(csr.n)
     # code = i * n + x: vertex x is within h - 1 hops of dropped[i].
     ends = np.concatenate([csr.src[dropped], csr.dst[dropped]])
@@ -197,8 +200,8 @@ def frontier_mask(csr: Csr, old: np.ndarray, new: np.ndarray, h: int) -> np.ndar
     key, reach = key[order], np.maximum.accumulate((x * top + old[d])[order])
 
     def crossed(y):
-        query = y * top + new
+        query = y * top + new[eids]
         last = np.searchsorted(key, query) - 1  # last (x, new[d]) < (y, t)
         return (last >= 0) & (reach[last] >= query)
 
-    return crossed(csr.src) | crossed(csr.dst)
+    return crossed(csr.src[eids]) | crossed(csr.dst[eids])

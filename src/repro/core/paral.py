@@ -12,29 +12,32 @@
   (Gauss–Seidel within a task, Jacobi between tasks; substitution 2),
   which §4.1 proves converges to the same fixpoint.
 * ``paral+`` — Asyn with Lemma 4's pruning: a sweep recomputes only the
-  edges in the :func:`~repro.core.kernel.frontier_mask` of the sweep
-  before (substitution 3); the others would keep their values.
+  task's edges in the :func:`~repro.core.kernel.frontier_mask` of the
+  sweep before (substitution 3); the others would keep their values.
 
 :func:`schedule`, Spark-free and blind to the variant, is the driver's
 loop: pass 0 (the h-support) and the sweeps, each one message round of
 the H vector. :func:`kernel_workers` is the round's transport: one Spark
-job of ``k`` long-lived kernel tasks, each owning its edges for the call,
-with the H vector on the driver between rounds, as the paper's threads
-share it in memory.
+job of ``k`` long-lived kernel tasks, each owning its edges for the call
+and connected to the driver by a socket, with the H vector on the
+driver between rounds, as the paper's threads share it in memory. The
+driver waits on the job as a future and on each task's socket in turn;
+closing the sockets ends the tasks.
 """
 import os
 import secrets
 import socket
-import threading
 import time
 import zipimport
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from multiprocessing import AuthenticationError
-from multiprocessing.connection import Client, Listener, wait
+from multiprocessing.connection import Client, Listener
 
 import numpy as np
-from pyspark import InheritableThread, SparkContext
+from pyspark import inheritable_thread_target
+from pyspark.sql import SparkSession
 
 from .kernel import UNBOUNDED, Csr, frontier_mask, sweep
 
@@ -108,19 +111,22 @@ def task(csr: Csr, h: int, variant: str, eids: np.ndarray):
     order, and how many it recomputed. Round 1 is pass 0. Later rounds
     sweep ``eids`` in ascending ``H^(0)``, ties in owned order, as one block,
     or as :data:`_ASYN_BLOCKS` for Asyn and Paral+; a Paral+ sweep after the
-    first skips the edges outside the frontier of the last two vectors sent."""
+    first skips the edges outside the frontier of the last two vectors sent,
+    which it asks of :func:`~repro.core.kernel.frontier_mask` for ``eids``
+    alone."""
     hval = yield
     support = sweep(csr, hval, eids, h)  # hval is all UNBOUNDED
     hval = yield support, len(eids)
     parts = _ASYN_BLOCKS if variant in ("asyn", "paral+") else 1
-    blocks = todo = np.array_split(eids[np.argsort(support, kind="stable")], parts)
+    # Sub-blocks as positions in eids, as the frontier mask is indexed.
+    blocks = todo = np.array_split(np.argsort(support, kind="stable"), parts)
     while True:
         new = hval.copy()
         for b in todo:
-            new[b] = sweep(csr, new, b, h)
+            new[eids[b]] = sweep(csr, new, eids[b], h)
         sent, hval = hval, (yield new[eids], sum(map(len, todo)))
         if variant == "paral+":
-            frontier = frontier_mask(csr, sent, hval, h)
+            frontier = frontier_mask(csr, sent, hval, h, eids)
             todo = [b[frontier[b]] for b in blocks]
 
 
@@ -157,27 +163,31 @@ def schedule(m: int, run):
 
 
 @contextmanager
-def kernel_workers(sc: SparkContext, csr: Csr, h: int, variant: str, k: int):
+def kernel_workers(spark: SparkSession, csr: Csr, h: int, variant: str, k: int):
     """Run :func:`task` of ``variant`` over ``csr`` in ``k`` Spark tasks
     that live as long as the ``with`` block; ``1 <= k``, and ``k`` at
-    most ``csr.m`` and ``sc.defaultParallelism``, since a barrier job
+    most ``csr.m`` and ``defaultParallelism``, since a barrier job
     waits until all its tasks run at once.
 
     Each task's first message is its range of :func:`owned_edges`.
     Yields ``run(hval)``, one message round: every task is sent ``hval``,
-    and ``run`` returns the :func:`merge` of their replies. ``run(None)``
-    sends the release; the CSR travels in the tasks' closure. The tasks
-    form one barrier job, launched from an
-    :class:`~pyspark.InheritableThread` so the caller's job group covers
-    it; they connect back to a listener on ``spark.driver.host`` that
-    admits only holders of a fresh per-call key, and the block is
-    entered once every task has connected and been sent its range. Each
-    task first calls :func:`_skip_unchanged_zip_rereads`, which speeds
-    up the start of later tasks in its worker process. If the job fails,
-    the waiting driver raises its error. On leaving the block the
-    connections are closed (a task not yet released exits on EOF), then
-    the listener, and the job thread is joined.
+    and ``run`` returns the :func:`merge` of their replies, read task by
+    task. ``run(None)`` closes the connections, and a task ends on their
+    EOF; the CSR travels in the tasks' closure. The tasks form one
+    barrier job, a future of a one-thread executor whose target
+    :func:`~pyspark.inheritable_thread_target` wraps, so the caller's job
+    group and job tags cover it. They connect back to a listener on
+    ``spark.driver.host`` that admits only holders of a fresh per-call
+    key, and the block is entered once every task has connected and been
+    sent its range. Each task first calls
+    :func:`_skip_unchanged_zip_rereads`, which speeds up the start of
+    later tasks in its worker process. If the job ends while the driver
+    waits on it, the driver raises its error; once the answers are in, an
+    error of the job is of no consequence and is dropped. On leaving the
+    block the connections are closed, then the listener, and the job's
+    thread is joined.
     """
+    sc = spark.sparkContext
     # Both ends unpickle what they receive: only holders of this key may
     # connect.
     authkey = secrets.token_bytes(32)
@@ -187,27 +197,19 @@ def kernel_workers(sc: SparkContext, csr: Csr, h: int, variant: str, k: int):
 
     def serve(_):
         _skip_unchanged_zip_rereads()
-        with Client(address, authkey=authkey) as conn, suppress(EOFError):
-            _no_delay(conn)
+        with _no_delay(Client(address, authkey=authkey)) as conn, suppress(EOFError):
             rounds = task(csr, h, variant, conn.recv())
             next(rounds)
-            # EOF: the driver gave up on the call and closed the connection.
-            while (hval := conn.recv()) is not None:
-                conn.send(rounds.send(hval))
+            # Ends on EOF: the driver closed the connection, at the end of
+            # the call or on giving it up.
+            while True:
+                conn.send(rounds.send(conn.recv()))
         return iter(())
 
-    failure, done = [], threading.Event()
-
-    def job():
-        try:
-            sc.parallelize(range(k), k).barrier().mapPartitions(serve).collect()
-        except Exception as exc:
-            failure.append(exc)
-        finally:
-            done.set()
-            # Wake the driver if it is blocked in accept.
-            with suppress(OSError):
-                socket.create_connection(address, timeout=_POLL_S).close()
+    def wake(_):
+        """Unblock the driver if it waits in accept."""
+        with suppress(OSError):
+            socket.create_connection(address, timeout=_POLL_S).close()
 
     conns = []
 
@@ -216,56 +218,49 @@ def kernel_workers(sc: SparkContext, csr: Csr, h: int, variant: str, k: int):
             conn.close()
         # Closed before the join, so no late task can connect and wait.
         listener.close()
-        if thread.ident is not None:
-            thread.join()
 
     def lost():
-        """The job ended while the driver waited on it: raise its error."""
+        """The job ended, or a connection failed: raise the job's error."""
         close()
-        if failure:
-            raise failure[0]
-        raise RuntimeError("the kernel tasks exited before the call ended")
-
-    def send(msgs):
-        try:
-            for conn, msg in zip(conns, msgs):
-                conn.send(msg)
-        except OSError:
-            lost()
-
-    def gather():
-        """One reply from every task, in task order."""
-        replies = {}
-        while len(replies) < k:
-            ready = wait([c for c in conns if c not in replies], timeout=_POLL_S)
-            if not ready and done.is_set():
-                lost()
-            for conn in ready:
-                try:
-                    replies[conn] = conn.recv()
-                except (EOFError, OSError):
-                    lost()
-        return [replies[conn] for conn in conns]
+        raise job.exception() or RuntimeError(
+            "the kernel tasks exited before the call ended")
 
     def run(hval):
-        send([hval] * k)
-        return None if hval is None else merge(owned, gather())
+        if hval is None:
+            return close()
+        try:
+            for conn in conns:
+                conn.send(hval)
+            for conn in conns:
+                while not conn.poll(_POLL_S):
+                    if job.done():
+                        lost()
+            replies = [conn.recv() for conn in conns]
+        except (EOFError, OSError):
+            lost()
+        return merge(owned, replies)
 
-    thread = InheritableThread(target=job, daemon=True)
-    try:
-        thread.start()
-        owned = owned_edges(csr, k)  # while the tasks start
-        while len(conns) < k:
+    with ThreadPoolExecutor(1) as pool:  # its exit joins the job's thread
+        try:
+            tasks = sc.parallelize(range(k), k).barrier().mapPartitions(serve)
+            job = pool.submit(inheritable_thread_target(spark)(tasks.collect))
+            job.add_done_callback(wake)
+            owned = owned_edges(csr, k)  # while the tasks start
+            while len(conns) < k:
+                try:
+                    conns.append(_no_delay(listener.accept()))
+                except (AuthenticationError, EOFError, OSError):
+                    pass  # not a kernel task, or the job's wake-up call: dropped
+                if job.done():
+                    lost()
             try:
-                conns.append(_no_delay(listener.accept()))
-            except (AuthenticationError, EOFError, OSError):
-                pass  # not a kernel task, or the job's wake-up call: dropped
-            if done.is_set():
+                for conn, eids in zip(conns, owned):
+                    conn.send(eids)
+            except OSError:
                 lost()
-        send(owned)
-        yield run
-    finally:
-        close()
+            yield run
+        finally:
+            close()
 
 
 def _skip_unchanged_zip_rereads():

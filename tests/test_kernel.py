@@ -118,13 +118,18 @@ class TestAgainstReference:
         for old in (sup, sup + g.random_values(name, top=3)):
             new = sweep(g.csr, old, every, h)
             while (new < old).any():
-                mask = frontier_mask(g.csr, old, new, h)
+                mask = frontier_mask(g.csr, old, new, h, every)
                 nxt = sweep(g.csr, new, every, h)
                 assert (nxt[~mask] == new[~mask]).all()
                 ends = {x for i in np.flatnonzero(new < old) for x in g.edges[i]}
                 near = ends.union(*(bfs_within(adj, x, h) for x in ends))
                 hop_frontier = [u in near or v in near for u, v in g.edges]
                 assert not (mask & ~np.array(hop_frontier)).any()
+                # A task's query of its owned range is the same mask there.
+                for k in (2, 4):
+                    for eids in paral.owned_edges(g.csr, min(k, g.csr.m)):
+                        own = frontier_mask(g.csr, old, new, h, eids)
+                        assert (own == mask[eids]).all(), k
                 old, new = new, nxt
         # The same after in-task sweeps, pruned or not: every value a
         # sub-block read lay in (new[d], old[d]].
@@ -132,7 +137,7 @@ class TestAgainstReference:
             for variant in ("asyn", "paral+"):
                 states, _ = schedule_states(g.csr, h, variant, k)
                 for old, new in zip(states, states[1:]):
-                    mask = frontier_mask(g.csr, old, new, h)
+                    mask = frontier_mask(g.csr, old, new, h, every)
                     nxt = sweep(g.csr, new, every, h)
                     assert (nxt[~mask] == new[~mask]).all(), (k, variant)
 
@@ -150,12 +155,12 @@ class TestAgainstReference:
         """Paral and Asyn recompute every edge in every sweep; Paral+ every
         edge in its first sweep, then the frontier of the two sweeps before."""
         g = Graph(raw)
-        m = len(g.edges)
+        m, every = len(g.edges), np.arange(len(g.edges))
         for variant in ("paral", "asyn"):
             _, stats = schedule_states(g.csr, h, variant, k)
             assert [s.recomputed for s in stats] == [m] * len(stats), variant
         states, stats = schedule_states(g.csr, h, "paral+", k)
-        expected = [m] + [int(frontier_mask(g.csr, old, new, h).sum())
+        expected = [m] + [int(frontier_mask(g.csr, old, new, h, every).sum())
                           for old, new in zip(states[:-2], states[1:-1])]
         assert [s.recomputed for s in stats] == expected
 

@@ -372,6 +372,37 @@ class TestKernelWorkers:
         monkeypatch.undo()
         self._assert_toy_right(sparkf)
 
+    def test_cancelled_job_tag_raises_promptly(self, sparkf, monkeypatch):
+        """Cancelling a job tag the calling thread added, while every task
+        hangs in a round, fails the call: the kernel job carries the
+        caller's tags. The next call is unaffected."""
+        self._assert_toy_right(sparkf)
+        sc, tag = sparkf.sparkContext, "paral-cancel-tag"
+
+        def hang():
+            time.sleep(2 * PROMPT_S)
+
+        def call():
+            # Job tags, like the job group, are local to the calling thread.
+            sc.addJobTag(tag)
+            try:
+                return decompose(sparkf, self.TOY, 2, "paral", parallelism=4)
+            finally:
+                sc.removeJobTag(tag)
+
+        monkeypatch.setattr(paral, "task", _after_pass_zero(hang))
+        cancel = threading.Timer(3, sc.cancelJobsWithTag, [tag])
+        with _no_leftovers():
+            cancel.start()
+            try:
+                with pytest.raises(Exception, match="cancelled"):
+                    _within(PROMPT_S, call)
+            finally:
+                cancel.cancel()
+                cancel.join()
+        monkeypatch.undo()
+        self._assert_toy_right(sparkf)
+
     def test_unauthenticated_connection_is_dropped(self, sparkf, monkeypatch):
         """Every task first connects with a wrong key; the driver drops
         those connections and keeps accepting."""
