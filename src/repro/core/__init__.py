@@ -16,7 +16,18 @@ the paper's five systems (§5.1: Base, Single, Paral, Asyn, Paral+).
   path-key dataflow (a dataflow rendering of Algorithm 3, kept as a
   tested reference; the decomposition runs the kernel).
 """
-from .api import DecomposeResult, decompose
-from .paral import NotConvergedError
-
 __all__ = ["decompose", "DecomposeResult", "NotConvergedError"]
+
+
+def __getattr__(name):
+    """The names of ``__all__``, imported on first use (PEP 562): a kernel
+    task unpickles :mod:`repro.core.paral`, which needs neither
+    :mod:`repro.core.api` nor the pandas it imports."""
+    if name not in __all__:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from .api import DecomposeResult, decompose
+    from .paral import NotConvergedError
+
+    globals().update(decompose=decompose, DecomposeResult=DecomposeResult,
+                     NotConvergedError=NotConvergedError)
+    return globals()[name]

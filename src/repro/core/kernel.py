@@ -17,8 +17,19 @@ Vertices are dense ids ``0..n-1`` and edges dense ids ``0..m-1``. With
 every H-value at :data:`UNBOUNDED`, ``ℋ`` of ``|Δ(e)|`` copies of it is
 ``|Δ(e)|``, so the same call computes the h-support ``H^(0)``.
 
-Nothing here touches Spark. ``repro.core.paral``'s tasks run :func:`sweep`
-on the sub-blocks of the edges they own, and Paral+'s tasks run
+Steps 1 and 2 read H only at the end: which walks reach which vertex,
+and Δ, never change. For h ∈ {1, 2}, :func:`witness_index` does them
+once, as a :class:`WitnessIndex` of slots ``(s, w)``, the edge pairs of
+the walks from ``s`` to ``w`` and each edge's witnesses as slot pairs.
+Its :meth:`~WitnessIndex.sweep` is then a few gathers: the slot keys as
+a ``maximum.reduceat`` over the pairs' minima, each witness value as the
+smaller of two keys, and ℋ by counting values capped at
+``min(H(e), |Δ(e)|)``. Its witness counts are ``H^(0)``. At h >= 3 the
+walks are not listed, and :func:`sweep` re-expands them in every call.
+
+Nothing here touches Spark. ``repro.core.paral``'s tasks sweep the
+sub-blocks of the edges they own with a :class:`WitnessIndex` each at
+h <= 2 and with :func:`sweep` at h >= 3, and Paral+'s tasks run
 :func:`frontier_mask`, Lemma 4's pruning, over their own edges between
 their sweeps.
 """
@@ -127,16 +138,45 @@ def path_keys(csr: Csr, hval: np.ndarray, sources: np.ndarray, h: int):
     return code, key
 
 
-def h_index(values: np.ndarray, groups: np.ndarray, n_groups: int) -> np.ndarray:
-    """ℋ of each group: for ``g`` in ``0..n_groups-1``, the largest ``y``
-    such that at least ``y`` of the ``values`` with ``groups == g`` are
-    ``>= y``; 0 for an empty group."""
-    order = np.lexsort((-values, groups))
-    g, v = groups[order], values[order]
-    rank = np.arange(1, len(g) + 1) - np.searchsorted(g, g)
-    # Sorted descending, value >= rank holds on a prefix of each group,
-    # and that prefix's length is ℋ.
-    return np.bincount(g[v >= rank], minlength=n_groups).astype(np.int64)
+def h_index(values: np.ndarray, groups: np.ndarray, cap: np.ndarray) -> np.ndarray:
+    """ℋ of each group, capped: for ``g`` in ``0..len(cap)-1``, the largest
+    ``y <= cap[g]`` such that at least ``y`` of the ``values`` with
+    ``groups == g`` are ``>= y``; 0 for an empty group. ℋ never exceeds a
+    group's size, so a cap at the sizes changes nothing.
+
+    By counting: group ``g`` has the bins ``0..cap[g]``, a value counts in
+    bin ``min(value, cap[g])``, and the result is the last bin ``y`` that
+    at least ``y`` values reach."""
+    width = cap + 1
+    start = np.cumsum(width) - width
+    counts = np.bincount(start[groups] + np.minimum(values, cap[groups]),
+                         minlength=width.sum())
+    reach = np.r_[np.cumsum(counts[::-1])[::-1], 0]  # values in bin or later
+    owner = np.repeat(np.arange(len(cap)), width)
+    y = np.arange(len(owner)) - start[owner]
+    # Bin 0 always qualifies, and the qualifying bins are a prefix.
+    ok = reach[:-1] - reach[(start + width)[owner]] >= y
+    return np.bincount(owner[ok], minlength=len(cap)) - 1
+
+
+def _delta(code: np.ndarray, n_sources: int, ends: np.ndarray,
+           n: np.int64) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Δ of ``k = len(ends) // 2`` edges, the edge ``i`` running between
+    the sources ``ends[i]`` and ``ends[k + i]``, from the sorted reach
+    codes ``code = source * n + w`` of ``n_sources`` sources. Returns, for
+    each witness ``w ∈ Δ``, its edge's position and the positions in
+    ``code`` of ``w`` from either end."""
+    k = len(ends) // 2
+    bounds = np.searchsorted(code, np.arange(n_sources + 1) * n)
+    u, v = ends[:k], ends[k:]
+    # Walk the smaller reach set and look each vertex up in the other.
+    smaller = np.diff(bounds)[u] <= np.diff(bounds)[v]
+    x, y = np.where(smaller, u, v), np.where(smaller, v, u)
+    edge, j = _rows(bounds, x)
+    query = (y - x)[edge] * n + code[j]
+    hit = np.minimum(np.searchsorted(code, query), len(code) - 1)
+    found = code[hit] == query
+    return edge[found], j[found], hit[found]
 
 
 def sweep(csr: Csr, hval: np.ndarray, eids: np.ndarray, h: int) -> np.ndarray:
@@ -145,23 +185,108 @@ def sweep(csr: Csr, hval: np.ndarray, eids: np.ndarray, h: int) -> np.ndarray:
     k = len(eids)
     if not k:
         return np.zeros(0, dtype=np.int64)
-    n = np.int64(csr.n)
     sources, ends = np.unique(
         np.concatenate([csr.src[eids], csr.dst[eids]]), return_inverse=True
     )
     code, key = path_keys(csr, hval, sources, h)
-    bounds = np.searchsorted(code, np.arange(len(sources) + 1) * n)
-    u, v = ends[:k], ends[k:]
-    # Walk the smaller reach set and look each vertex up in the other.
-    smaller = np.diff(bounds)[u] <= np.diff(bounds)[v]
-    x, y = np.where(smaller, u, v), np.where(smaller, v, u)
-    edge, j = _rows(bounds, x)
-    w = code[j] - x[edge] * n
-    query = y[edge] * n + w
-    hit = np.minimum(np.searchsorted(code, query), len(code) - 1)
-    found = code[hit] == query
-    values = np.minimum(key[j[found]], key[hit[found]])
-    return h_index(values, edge[found], k)
+    edge, a, b = _delta(code, len(sources), ends, np.int64(csr.n))
+    return h_index(np.minimum(key[a], key[b]), edge, np.bincount(edge, minlength=k))
+
+
+@dataclass(frozen=True)
+class WitnessIndex:
+    """What :func:`sweep` derives for a block of edges that does not
+    depend on H, for h ∈ {1, 2}: built by :func:`witness_index`, swept by
+    :meth:`sweep`.
+
+    A slot is a pair ``(s, w)`` of an endpoint ``s`` of the block's edges
+    and a vertex ``w != s`` within ``h`` hops of it. Slot ``i``'s
+    contributors are the edge pairs ``pairs[:, slot_ptr[i]:slot_ptr[i + 1]]``
+    whose walks reach ``w`` from ``s``: the edge ``(s, w)`` itself, as
+    ``(e, e)``, and at h=2 each wedge ``s–x–w``, as ``(e_sx, e_xw)``; so
+    ``P(s, w)`` is the largest ``min(H[c1], H[c2])`` over them. The
+    witnesses ``w ∈ Δ(e)`` of edge ``eids[i]`` are the slot pairs
+    ``(P(u, w), P(v, w))`` in ``witnesses[:, witness_ptr[i]:witness_ptr[i + 1]]``.
+    ``pairs``, ``slot_ptr`` and ``witnesses`` are int32 where their ids
+    fit, as they do at any size a task can hold: a task keeps its indexes
+    for the whole call.
+    """
+
+    eids: np.ndarray
+    pairs: np.ndarray
+    slot_ptr: np.ndarray
+    witnesses: np.ndarray
+    witness_ptr: np.ndarray
+
+    @property
+    def support(self) -> np.ndarray:
+        """``|Δ(e)|`` of each edge, its h-support ``H^(0)``."""
+        return np.diff(self.witness_ptr)
+
+    def block(self, rows: np.ndarray) -> "WitnessIndex":
+        """The index of the edges ``eids[rows]`` alone, keeping only the
+        slots their witnesses read."""
+        edge, j = _rows(self.witness_ptr, rows)
+        used, slot = np.unique(self.witnesses[:, j], return_inverse=True)
+        _, c = _rows(self.slot_ptr, used)
+        ids = self.pairs.dtype
+        return WitnessIndex(
+            self.eids[rows], self.pairs[:, c],
+            np.r_[0, np.cumsum(np.diff(self.slot_ptr)[used])].astype(ids),
+            slot.reshape(2, -1).astype(ids),
+            np.r_[0, np.cumsum(np.bincount(edge, minlength=len(rows)))],
+        )
+
+    def sweep(self, hval: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """New H-value of each edge ``eids[rows]``, read from ``hval``:
+        ``ℋ`` of its witness values, capped at its value in ``hval``.
+
+        The cap changes nothing on an H vector the iteration reaches:
+        from the h-support down, no H-value ever rises (Theorem 1).
+        Every slot's key is computed, but only the witnesses of ``rows``
+        are read."""
+        if not len(rows):
+            return np.zeros(0, dtype=np.int64)
+        c1, c2 = self.pairs
+        keys = np.maximum.reduceat(np.minimum(hval[c1], hval[c2]),
+                                   self.slot_ptr[:-1])
+        edge, j = _rows(self.witness_ptr, rows)
+        wu, wv = self.witnesses[:, j]
+        cap = np.minimum(hval[self.eids[rows]], self.support[rows])
+        return h_index(np.minimum(keys[wu], keys[wv]), edge, cap)
+
+
+def witness_index(csr: Csr, eids: np.ndarray, h: int) -> WitnessIndex:
+    """The :class:`WitnessIndex` of the edges ``eids``, h ∈ {1, 2}: the
+    walks :func:`path_keys` relaxes from their endpoints, once, and Δ as
+    :func:`sweep` finds it."""
+    if h not in (1, 2):
+        raise ValueError(f"a witness index needs h in (1, 2), got {h}")
+    eids = np.asarray(eids, dtype=np.int64)
+    k = len(eids)
+    n = np.int64(csr.n)
+    sources, ends = np.unique(
+        np.concatenate([csr.src[eids], csr.dst[eids]]), return_inverse=True
+    )
+    owner, j = _rows(csr.indptr, sources)
+    code = owner * n + csr.nbr[j]
+    pairs = np.stack([csr.nbr_eid[j], csr.nbr_eid[j]])
+    if h == 2:
+        i, j2 = _rows(csr.indptr, csr.nbr[j])
+        keep = csr.nbr[j2] != sources[owner[i]]
+        i, j2 = i[keep], j2[keep]
+        code = np.concatenate([code, owner[i] * n + csr.nbr[j2]])
+        pairs = np.concatenate([pairs, [csr.nbr_eid[j][i], csr.nbr_eid[j2]]], axis=1)
+    order = np.argsort(code)
+    code, pairs = code[order], pairs[:, order]
+    first = np.flatnonzero(np.diff(code, prepend=-1))
+    edge, a, b = _delta(code[first], len(sources), ends, n)
+    ids = np.int32 if max(csr.m, len(code)) < 2**31 else np.int64
+    return WitnessIndex(
+        eids, pairs.astype(ids), np.r_[first, len(code)].astype(ids),
+        np.stack([a, b]).astype(ids),
+        np.r_[0, np.cumsum(np.bincount(edge, minlength=k))],
+    )
 
 
 def frontier_mask(csr: Csr, old: np.ndarray, new: np.ndarray, h: int,

@@ -8,7 +8,8 @@
   monotone convergence to ``t(e,h) - 2``).
 * ``single`` — Paral on one kernel task, the paper's one thread.
 * ``asyn``   — asynchronous sweeps (§4.3): each task updates its edges
-  in place, in :data:`_ASYN_BLOCKS` sub-blocks by ascending ``H^(0)``
+  in place, in sub-blocks by ascending ``H^(0)``: :data:`_ASYN_BLOCKS`
+  at h <= 2, :data:`_ASYN_SWEEP_BLOCKS` at h >= 3
   (Gauss–Seidel within a task, Jacobi between tasks; substitution 2),
   which §4.1 proves converges to the same fixpoint.
 * ``paral+`` — Asyn with Lemma 4's pruning: a sweep recomputes only the
@@ -23,6 +24,12 @@ and connected to the driver by a socket, with the H vector on the
 driver between rounds, as the paper's threads share it in memory. The
 driver waits on the job as a future and on each task's socket in turn;
 closing the sockets ends the tasks.
+
+At h <= 2 a task builds a :func:`~repro.core.kernel.witness_index` of
+its edges in pass 0 and keeps one per sub-block for the call, so a
+sub-block's sweep costs its own gathers and no re-expansion of the
+endpoints it shares with the others; at h >= 3 every sub-block's sweep
+re-expands them with :func:`~repro.core.kernel.sweep`.
 """
 import os
 import secrets
@@ -39,7 +46,7 @@ import numpy as np
 from pyspark import inheritable_thread_target
 from pyspark.sql import SparkSession
 
-from .kernel import UNBOUNDED, Csr, frontier_mask, sweep
+from .kernel import UNBOUNDED, Csr, frontier_mask, sweep, witness_index
 
 
 @dataclass
@@ -66,7 +73,15 @@ class NotConvergedError(RuntimeError):
         self.last = last
 
 
-_ASYN_BLOCKS = 4  # sub-blocks per task in Asyn and Paral+
+# Sub-blocks per task in Asyn and Paral+. More read more values of the
+# same sweep, so fewer sweeps: in-process at 4 tasks, h=2, 4 -> 16 took
+# the YT stand-in from 9 to 8 sweeps and GA's from 16 to 13. At h <= 2,
+# with the witness index, a sub-block's sweep costs only its own
+# gathers, so the slowest task's kernel seconds per call did not rise;
+# at h >= 3 each sub-block's sweep re-expands its endpoints, and the
+# count stays at 4 (DESIGN.md, substitution 2).
+_ASYN_BLOCKS = 16
+_ASYN_SWEEP_BLOCKS = 4
 
 # Sweeps a call runs before it raises NotConvergedError.
 MAX_SWEEPS = 10_000
@@ -85,7 +100,7 @@ def owned_edges(csr: Csr, k: int) -> list[np.ndarray]:
     sorted by ``(lower rank, higher rank)``, so a task's edges share
     endpoints. An edge's work is ``nd[u] + nd[v]``, where ``nd`` is the
     sum of a vertex's neighbour degrees: the 2-hop walks
-    :func:`~repro.core.kernel.sweep` expands from it. A cut at equal
+    :func:`~repro.core.kernel.witness_index` lists from it. A cut at equal
     edge counts puts the hub edges in one task and doubles its kernel
     time on a power-law graph.
     """
@@ -110,24 +125,43 @@ def task(csr: Csr, h: int, variant: str, eids: np.ndarray):
     it leaves as it is; it replies with its edges' new values, in ``eids``
     order, and how many it recomputed. Round 1 is pass 0. Later rounds
     sweep ``eids`` in ascending ``H^(0)``, ties in owned order, as one block,
-    or as :data:`_ASYN_BLOCKS` for Asyn and Paral+; a Paral+ sweep after the
-    first skips the edges outside the frontier of the last two vectors sent,
+    or for Asyn and Paral+ as :data:`_ASYN_BLOCKS` at h <= 2 and as
+    :data:`_ASYN_SWEEP_BLOCKS` at h >= 3; a Paral+ sweep after the first
+    skips the edges outside the frontier of the last two vectors sent,
     which it asks of :func:`~repro.core.kernel.frontier_mask` for ``eids``
-    alone."""
+    alone.
+
+    At h <= 2, pass 0 builds a :func:`~repro.core.kernel.witness_index` of
+    ``eids``, reads ``H^(0)`` off it and keeps one index per sub-block, so
+    a sweep of a sub-block is a few gathers. At h >= 3 each sweep of a
+    sub-block calls :func:`~repro.core.kernel.sweep`."""
     hval = yield
-    support = sweep(csr, hval, eids, h)  # hval is all UNBOUNDED
-    hval = yield support, len(eids)
-    parts = _ASYN_BLOCKS if variant in ("asyn", "paral+") else 1
+    asyn = variant in ("asyn", "paral+")
+    if h <= 2:
+        index = witness_index(csr, eids, h)
+        support = index.support
+        parts = _ASYN_BLOCKS if asyn else 1
+    else:
+        support = sweep(csr, hval, eids, h)  # hval is all UNBOUNDED
+        parts = _ASYN_SWEEP_BLOCKS if asyn else 1
     # Sub-blocks as positions in eids, as the frontier mask is indexed.
-    blocks = todo = np.array_split(np.argsort(support, kind="stable"), parts)
+    blocks = np.array_split(np.argsort(support, kind="stable"), parts)
+    if h <= 2:
+        updates = [index.block(b).sweep for b in blocks]
+        del index  # the blocks keep what their sweeps read
+    else:
+        updates = [lambda new, rows, e=eids[b]: sweep(csr, new, e[rows], h)
+                   for b in blocks]
+    todo = [np.arange(len(b)) for b in blocks]  # positions in each block
+    hval = yield support, len(eids)
     while True:
         new = hval.copy()
-        for b in todo:
-            new[eids[b]] = sweep(csr, new, eids[b], h)
+        for b, rows, update in zip(blocks, todo, updates):
+            new[eids[b[rows]]] = update(new, rows)
         sent, hval = hval, (yield new[eids], sum(map(len, todo)))
         if variant == "paral+":
             frontier = frontier_mask(csr, sent, hval, h, eids)
-            todo = [b[frontier[b]] for b in blocks]
+            todo = [np.flatnonzero(frontier[b]) for b in blocks]
 
 
 def merge(owned: list[np.ndarray], replies: list) -> tuple[np.ndarray, int]:

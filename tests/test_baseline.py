@@ -71,13 +71,14 @@ class TestInputForms:
 
 def test_core_loads_no_reference_oracle():
     """Base is tested against ``repro.pyref``, so it shares none of its
-    code: importing ``repro.core`` loads no ``repro.pyref`` module. Nor
-    does it load a dataflow reference layer, which no call runs."""
+    code: importing ``repro.core`` and its entry point, which loads every
+    module a call runs, loads no ``repro.pyref`` module. Nor does it load
+    a dataflow reference layer, which no call runs."""
     src = str(Path(repro.__file__).parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")]))}
     dataflow = ("repro.graph.hops", "repro.graph.triads", "repro.core.hindex")
-    code = ("import sys, repro.core; "
+    code = ("import sys; from repro.core import decompose; "
             "print([m for m in sys.modules if m.startswith('repro.pyref') "
             f"or m in {dataflow!r}])")
     out = subprocess.run([sys.executable, "-c", code], env=env,

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import paral
+from repro.core import kernel, paral
 from repro.core.kernel import (
-    UNBOUNDED, build_csr, frontier_mask, h_index, path_keys, sweep,
+    UNBOUNDED, build_csr, frontier_mask, h_index, path_keys, sweep, witness_index,
 )
+from repro.graphgen import dataset_edges
 from repro.pyref import all_h_supports, decompose_peeling
 from repro.pyref.graphs import adjacency, bfs_within, canonical_edges
 from repro.pyref.hindex import h_index as ref_h_index
@@ -82,18 +83,26 @@ class TestAgainstReference:
         assert got == ref
 
     def test_pass_zero_is_h_support(self, name, raw, h):
+        """So is each edge's witness count in the witness index (h <= 2)."""
         g = Graph(raw)
         m = len(g.edges)
         sup = sweep(g.csr, np.full(m, UNBOUNDED), np.arange(m), h)
         assert g.as_map(sup) == all_h_supports(raw, h)
+        if h <= 2:
+            assert (witness_index(g.csr, np.arange(m), h).support == sup).all()
 
     def test_sweep_of_a_subset(self, name, raw, h):
         """One sweep, for every other edge, matches Algorithm 3 applied
-        edge by edge to the same H vector."""
+        edge by edge to the same H vector; at h <= 2 so does the witness
+        index's sweep of those edges, capped at their own values."""
         g = Graph(raw)
         values = g.random_values(name)
         eids = np.arange(0, len(g.edges), 2)
         got = sweep(g.csr, values, eids, h).tolist()
+        if h <= 2:
+            index = witness_index(g.csr, eids, h)
+            capped = index.sweep(values, np.arange(len(eids)))
+            assert capped.tolist() == np.minimum(got, values[eids]).tolist()
         adj, vmap = adjacency(g.edges), g.as_map(values)
         ref = []
         for i in eids.tolist():
@@ -103,6 +112,40 @@ class TestAgainstReference:
             pv = ref_path_keys(adj, v, h, vmap, targets=delta)
             ref.append(ref_h_index(min(pu[w], pv[w]) for w in delta))
         assert got == ref
+
+    def test_witness_index_matches_sweep(self, name, raw, h):
+        """At h <= 2 the witness index of random edge subsets, whole, cut
+        into blocks (an empty one too) and restricted to random rows, as
+        Paral+ restricts a block to its frontier, sweeps to
+        ``min(hval[e], sweep(...))`` on random H vectors, and to exactly
+        :func:`sweep` on a vector a sweep from above the h-support reached.
+        At h >= 3 there is no index."""
+        g = Graph(raw)
+        m = len(g.edges)
+        if h > 2:
+            with pytest.raises(ValueError, match="h in"):
+                witness_index(g.csr, np.arange(m), h)
+            return
+        rng = np.random.default_rng(m)
+        sup = sweep(g.csr, np.full(m, UNBOUNDED), np.arange(m), h)
+        reached = sweep(g.csr, sup + g.random_values(name, top=3), np.arange(m), h)
+        for seed in range(4):
+            eids = np.flatnonzero(rng.random(m) < 0.6)
+            index = witness_index(g.csr, eids, h)
+            assert (index.support == sup[eids]).all()
+            blocks = np.array_split(rng.permutation(len(eids)), 3) + [eids[:0]]
+            for values in (g.random_values(f"{name}{seed}"), reached):
+                exact = values is reached
+                for b in blocks:
+                    block = index.block(b)
+                    rows = np.flatnonzero(rng.random(len(b)) < 0.5)
+                    for got, e in ((index.sweep(values, b), eids[b]),
+                                   (block.sweep(values, np.arange(len(b))), eids[b]),
+                                   (block.sweep(values, rows), eids[b[rows]])):
+                        want = sweep(g.csr, values, e, h)
+                        if not exact:
+                            want = np.minimum(want, values[e])
+                        assert got.tolist() == want.tolist(), (seed, exact)
 
     def test_frontier_mask(self, name, raw, h):
         """Lemma 4 is sound: after a sweep lowers ``old`` to ``new``, one
@@ -142,11 +185,20 @@ class TestAgainstReference:
                     assert (nxt[~mask] == new[~mask]).all(), (k, variant)
 
     @pytest.mark.parametrize("k", [1, 2, 4])
-    def test_in_task_schedule_reaches_the_fixpoint(self, name, raw, h, k):
-        """Asyn and Paral+'s schedule ends at the peeling trussness."""
+    def test_in_task_schedule_reaches_the_fixpoint(self, name, raw, h, k,
+                                                   monkeypatch):
+        """Every variant's schedule ends at the peeling trussness; at h <= 2
+        with :func:`sweep` and :func:`path_keys` refusing to run, since a
+        task sweeps its witness index."""
         g = Graph(raw)
         expected = decompose_peeling(raw, h)
-        for variant in ("asyn", "paral+"):
+        if h <= 2:
+            def refuse(*args):
+                raise AssertionError("an expanding sweep ran at h <= 2")
+
+            monkeypatch.setattr(paral, "sweep", refuse)
+            monkeypatch.setattr(kernel, "path_keys", refuse)
+        for variant in ("paral", "asyn", "paral+"):
             final = schedule_states(g.csr, h, variant, k)[0][-1]
             assert g.as_map(final + 2) == expected, variant
 
@@ -165,6 +217,23 @@ class TestAgainstReference:
         assert [s.recomputed for s in stats] == expected
 
 
+def test_asynchrony_saves_sweeps():
+    """At 4 tasks, Asyn's 16 sub-blocks a task save sweeps over Paral's
+    schedule: 3 against 4 on the toy graph, at most 8 on the YT stand-in
+    (9 with 4 sub-blocks) and 13 on GA at bench scale (16). On YT
+    Paral+'s pruning changes none of Asyn's drops."""
+    def sweeps(edges, variant):
+        return schedule_states(Graph(edges).csr, 2, variant, 4)[1]
+
+    toy = SMALL_GRAPHS["toy"]
+    assert len(sweeps(toy, "asyn")) < len(sweeps(toy, "paral")) == 4
+    yt = dataset_edges("YT").tolist()
+    asyn, plus = sweeps(yt, "asyn"), sweeps(yt, "paral+")
+    assert len(asyn) <= 8 and len(plus) <= 8
+    assert [s.dropped for s in plus] == [s.dropped for s in asyn]
+    assert len(sweeps(dataset_edges("GA").tolist(), "asyn")) <= 13
+
+
 @pytest.mark.parametrize(("name", "raw"), GRAPHS)
 @pytest.mark.parametrize("k", [1, 2, 3, 4])
 def test_owned_edges_partition_the_edges(name, raw, k):
@@ -176,16 +245,24 @@ def test_owned_edges_partition_the_edges(name, raw, k):
     assert sorted(np.concatenate(owned).tolist()) == list(range(csr.m))
 
 
-@given(st.lists(st.lists(st.integers(0, 12), max_size=12), max_size=6))
+@given(st.lists(st.tuples(st.integers(0, 14),
+                          st.lists(st.integers(0, 12), max_size=12)), max_size=6))
 def test_h_index_matches_reference(groups):
-    values = np.array([x for grp in groups for x in grp], dtype=np.int64)
-    owner = np.array([i for i, grp in enumerate(groups) for _ in grp], dtype=np.int64)
-    got = h_index(values, owner, len(groups)).tolist()
-    assert got == [ref_h_index(grp) for grp in groups]
+    """Capped at each group's size, ℋ is the reference's; capped lower,
+    the smaller of the cap and the reference's."""
+    values = np.array([x for _, grp in groups for x in grp], dtype=np.int64)
+    owner = np.array([i for i, (_, grp) in enumerate(groups) for _ in grp],
+                     dtype=np.int64)
+    ref = [ref_h_index(grp) for _, grp in groups]
+    size = np.bincount(owner, minlength=len(groups))
+    assert h_index(values, owner, size).tolist() == ref
+    cap = np.array([c for c, _ in groups], dtype=np.int64)
+    assert h_index(values, owner, cap).tolist() == np.minimum(cap, ref).tolist()
 
 
 def test_h_index_of_inf_counts():
-    got = h_index(np.full(3, UNBOUNDED), np.zeros(3, dtype=np.int64), 2)
+    got = h_index(np.full(3, UNBOUNDED), np.zeros(3, dtype=np.int64),
+                  np.array([3, 0]))
     assert got.tolist() == [3, 0]
 
 

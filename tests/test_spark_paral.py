@@ -288,7 +288,7 @@ class TestBenchScale:
     def test_asyn_needs_no_more_sweeps(self, sparkf, key):
         """§4.3 and Figure 6: the asynchronous schedule reaches the same
         trussness in at most Paral's number of sweeps, and in fewer on
-        GA (16 against 21)."""
+        GA (13 against 21)."""
         edges = dataset_edges(key)
         paral = decompose(sparkf, edges, 2, "paral", parallelism=4)
         asyn = decompose(sparkf, edges, 2, "asyn", parallelism=4)
