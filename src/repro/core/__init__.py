@@ -11,7 +11,8 @@ the paper's five systems (§5.1: Base, Single, Paral, Asyn, Paral+).
   loop with the Section 4.3 optimizations (**Single / Paral / Asyn /
   Paral+**), and the one Spark job of kernel tasks that runs its rounds.
 * :mod:`repro.core.kernel` — Algorithm 3 as a numpy kernel over CSR
-  adjacency: bottleneck path keys, Δ and ℋ(·) for a block of edges.
+  adjacency: a block of edges' static witness index, its bottleneck
+  path keys by levels up to h and Δ, swept into ℋ(·).
 * :mod:`repro.core.hindex` — ℋ(·) aggregation and the h-hop bottleneck
   path-key dataflow (a dataflow rendering of Algorithm 3, kept as a
   tested reference; the decomposition runs the kernel).

@@ -1,37 +1,33 @@
 """Algorithm 3 as a numpy kernel over CSR adjacency.
 
-One call of :func:`sweep` computes the new H-value of a set of edges
-from the current H vector, the way one thread of the paper's §4.2 does
-for its block of edges:
+A kernel task computes the new H-value of the edges it owns from the
+current H vector, the way one thread of the paper's §4.2 does for its
+block of edges:
 
-1. bottleneck path keys ``P(x, w)`` (Definition 6) from every endpoint
-   ``x`` of the edges, by ``h`` rounds of max-min relaxation over the
-   CSR; each endpoint is expanded once per call however many of the
-   edges share it;
+1. bottleneck path keys ``P(s, w)`` (Definition 6) from every endpoint
+   ``s`` of the edges to every ``w != s`` within ``h`` hops;
 2. ``Δ(e)``, the common h-neighbours of ``e = (u, v)``, as the
    intersection of the two reach sets (a source never reaches itself,
    so ``u`` and ``v`` drop out on their own);
 3. ``ℋ`` of ``min(P(u, w), P(v, w))`` over ``w ∈ Δ(e)``.
 
-Vertices are dense ids ``0..n-1`` and edges dense ids ``0..m-1``. With
-every H-value at :data:`UNBOUNDED`, ``ℋ`` of ``|Δ(e)|`` copies of it is
-``|Δ(e)|``, so the same call computes the h-support ``H^(0)``.
+Which walks reach which vertex, and Δ, never depend on H.
+:func:`witness_index` lists them once, as a :class:`WitnessIndex`, by
+levels: level 1 is the edge array, keyed by the H vector, and level
+``l`` keys each slot ``(s, w)`` by ``P_l(s, w) = max(H(s, w) if
+adjacent, max over x ∈ N(s) of min(H(s, x), P_{l-1}(x, w)))``, exact
+since walks and paths share the optimum of a max-min objective. Level
+``h`` has the slots of the edges' endpoints, and each edge's witnesses
+are pairs of them. :meth:`WitnessIndex.sweep` is then a ``maximum.reduceat`` per
+level over its contributors' minima, each witness value as the smaller
+of two keys, and ℋ by counting values capped at ``min(H(e), |Δ(e)|)``.
+The witness counts ``|Δ(e)|`` are the h-support ``H^(0)``.
 
-Steps 1 and 2 read H only at the end: which walks reach which vertex,
-and Δ, never change. For h ∈ {1, 2}, :func:`witness_index` does them
-once, as a :class:`WitnessIndex` of slots ``(s, w)``, the edge pairs of
-the walks from ``s`` to ``w`` and each edge's witnesses as slot pairs.
-Its :meth:`~WitnessIndex.sweep` is then a few gathers: the slot keys as
-a ``maximum.reduceat`` over the pairs' minima, each witness value as the
-smaller of two keys, and ℋ by counting values capped at
-``min(H(e), |Δ(e)|)``. Its witness counts are ``H^(0)``. At h >= 3 the
-walks are not listed, and :func:`sweep` re-expands them in every call.
-
+Vertices are dense ids ``0..n-1`` and edges dense ids ``0..m-1``.
 Nothing here touches Spark. ``repro.core.paral``'s tasks sweep the
-sub-blocks of the edges they own with a :class:`WitnessIndex` each at
-h <= 2 and with :func:`sweep` at h >= 3, and Paral+'s tasks run
-:func:`frontier_mask`, Lemma 4's pruning, over their own edges between
-their sweeps.
+sub-blocks of the edges they own with a :class:`WitnessIndex` each, and
+Paral+'s tasks run :func:`frontier_mask`, Lemma 4's pruning, over their
+own edges between their sweeps.
 """
 from dataclasses import dataclass
 
@@ -93,51 +89,6 @@ def _rows(indptr: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return owner, starts[owner] + offset
 
 
-def path_keys(csr: Csr, hval: np.ndarray, sources: np.ndarray, h: int):
-    """Bottleneck path keys from each vertex of ``sources``.
-
-    ``P(s, w) = max over walks s→w of length <= h that do not return to
-    s of the least H-value on the walk``, for every ``w`` within ``h``
-    hops of ``s``. Returns ``(code, key)`` sorted by ``code``, where
-    ``code = i * n + w`` for ``s = sources[i]``.
-
-    Each round relaxes only the entries that improved in the round
-    before; for a max-min objective walks and paths share the optimum,
-    so ``h`` rounds are exact.
-    """
-    if h < 1:
-        raise ValueError(f"h must be >= 1, got {h}")
-    n = np.int64(csr.n)
-    sources = np.asarray(sources, dtype=np.int64)
-    owner, j = _rows(csr.indptr, sources)
-    code = owner * n + csr.nbr[j]
-    key = hval[csr.nbr_eid[j]]
-    front_code, front_key = code, key
-    for _ in range(h - 1):
-        if not len(front_code):
-            break
-        f_owner, f_w = np.divmod(front_code, n)
-        i, j = _rows(csr.indptr, f_w)
-        w = csr.nbr[j]
-        c_owner = f_owner[i]
-        keep = w != sources[c_owner]
-        c_code = (c_owner * n + w)[keep]
-        c_key = np.minimum(front_key[i], hval[csr.nbr_eid[j]])[keep]
-        # Max per code; on a tie the existing entry wins, so `fresh`
-        # marks exactly the entries this round created or raised.
-        all_code = np.concatenate([code, c_code])
-        all_key = np.concatenate([key, c_key])
-        is_new = np.concatenate([np.zeros(len(code), np.int8),
-                                 np.ones(len(c_code), np.int8)])
-        order = np.lexsort((is_new, -all_key, all_code))
-        sorted_code = all_code[order]
-        first = order[np.r_[True, sorted_code[1:] != sorted_code[:-1]]]
-        code, key = all_code[first], all_key[first]
-        fresh = is_new[first] == 1
-        front_code, front_key = code[fresh], key[fresh]
-    return code, key
-
-
 def h_index(values: np.ndarray, groups: np.ndarray, cap: np.ndarray) -> np.ndarray:
     """ℋ of each group, capped: for ``g`` in ``0..len(cap)-1``, the largest
     ``y <= cap[g]`` such that at least ``y`` of the ``values`` with
@@ -179,42 +130,32 @@ def _delta(code: np.ndarray, n_sources: int, ends: np.ndarray,
     return edge[found], j[found], hit[found]
 
 
-def sweep(csr: Csr, hval: np.ndarray, eids: np.ndarray, h: int) -> np.ndarray:
-    """New H-value of each edge in ``eids``, read from ``hval``."""
-    eids = np.asarray(eids, dtype=np.int64)
-    k = len(eids)
-    if not k:
-        return np.zeros(0, dtype=np.int64)
-    sources, ends = np.unique(
-        np.concatenate([csr.src[eids], csr.dst[eids]]), return_inverse=True
-    )
-    code, key = path_keys(csr, hval, sources, h)
-    edge, a, b = _delta(code, len(sources), ends, np.int64(csr.n))
-    return h_index(np.minimum(key[a], key[b]), edge, np.bincount(edge, minlength=k))
-
-
 @dataclass(frozen=True)
 class WitnessIndex:
-    """What :func:`sweep` derives for a block of edges that does not
-    depend on H, for h ∈ {1, 2}: built by :func:`witness_index`, swept by
-    :meth:`sweep`.
+    """What a sweep of a block of edges reads that does not depend on H:
+    built by :func:`witness_index`, swept by :meth:`sweep`.
 
-    A slot is a pair ``(s, w)`` of an endpoint ``s`` of the block's edges
-    and a vertex ``w != s`` within ``h`` hops of it. Slot ``i``'s
-    contributors are the edge pairs ``pairs[:, slot_ptr[i]:slot_ptr[i + 1]]``
-    whose walks reach ``w`` from ``s``: the edge ``(s, w)`` itself, as
-    ``(e, e)``, and at h=2 each wedge ``s–x–w``, as ``(e_sx, e_xw)``; so
-    ``P(s, w)`` is the largest ``min(H[c1], H[c2])`` over them. The
-    witnesses ``w ∈ Δ(e)`` of edge ``eids[i]`` are the slot pairs
-    ``(P(u, w), P(v, w))`` in ``witnesses[:, witness_ptr[i]:witness_ptr[i + 1]]``.
-    ``pairs``, ``slot_ptr`` and ``witnesses`` are int32 where their ids
-    fit, as they do at any size a task can hold: a task keeps its indexes
-    for the whole call.
+    Level 1 is the edge array: its slot ``e`` is edge ``e``, keyed by
+    ``H[e]``. ``levels`` holds levels 2..h, each as ``(pairs, slot_ptr)``.
+    Slot ``i`` of level ``l`` is a pair ``(s, w)`` of a source ``s`` and a
+    vertex ``w != s`` within ``l`` hops of it. Its contributors are the
+    columns ``pairs[:, slot_ptr[i]:slot_ptr[i + 1]]``: for each neighbour
+    ``x`` of ``s``, the edge ``(s, x)`` and the level-``(l - 1)`` slot
+    ``(x, w)``, or ``(x, s)`` when ``x = w``, whose key is at least
+    ``H(s, x)``. So ``P_l(s, w)`` is the largest ``min(H[c1], P_{l-1}[c2])``
+    over them; at h=2 the pairs are ``(e_sx, e_xw)`` of each wedge
+    ``s–x–w`` and ``(e, e)`` of the edge ``(s, w)``. The sources of level
+    h are the endpoints of ``eids``, and those of each level below it
+    the neighbours of the sources above. The witnesses ``w ∈ Δ(e)`` of
+    edge ``eids[i]``, in ascending ``w``, are the pairs of its endpoints'
+    level-h slots to ``w``, in either order, in
+    ``witnesses[:, witness_ptr[i]:witness_ptr[i + 1]]``. The ids are
+    int32 where they fit, as they do at any size a task can hold: a task
+    keeps its indexes for the whole call.
     """
 
     eids: np.ndarray
-    pairs: np.ndarray
-    slot_ptr: np.ndarray
+    levels: tuple
     witnesses: np.ndarray
     witness_ptr: np.ndarray
 
@@ -224,18 +165,34 @@ class WitnessIndex:
         return np.diff(self.witness_ptr)
 
     def block(self, rows: np.ndarray) -> "WitnessIndex":
-        """The index of the edges ``eids[rows]`` alone, keeping only the
-        slots their witnesses read."""
+        """The index of the edges ``eids[rows]`` alone: a copy of the
+        level-h slots their witnesses read, and the levels below it
+        shared with this index."""
         edge, j = _rows(self.witness_ptr, rows)
-        used, slot = np.unique(self.witnesses[:, j], return_inverse=True)
-        _, c = _rows(self.slot_ptr, used)
-        ids = self.pairs.dtype
+        levels, witnesses = self.levels, self.witnesses[:, j]
+        if levels:
+            pairs, slot_ptr = levels[-1]
+            used, slot = np.unique(witnesses, return_inverse=True)
+            _, c = _rows(slot_ptr, used)
+            ids = pairs.dtype
+            levels = levels[:-1] + ((
+                pairs[:, c],
+                np.r_[0, np.cumsum(np.diff(slot_ptr)[used])].astype(ids),
+            ),)
+            witnesses = slot.reshape(2, -1).astype(ids)
         return WitnessIndex(
-            self.eids[rows], self.pairs[:, c],
-            np.r_[0, np.cumsum(np.diff(self.slot_ptr)[used])].astype(ids),
-            slot.reshape(2, -1).astype(ids),
+            self.eids[rows], levels, witnesses,
             np.r_[0, np.cumsum(np.bincount(edge, minlength=len(rows)))],
         )
+
+    def keys(self, hval: np.ndarray) -> np.ndarray:
+        """The key of every level-h slot, read from ``hval``: a
+        ``maximum.reduceat`` over each level's contributors in turn."""
+        keys = hval
+        for (c1, c2), slot_ptr in self.levels:
+            keys = np.maximum.reduceat(np.minimum(hval[c1], keys[c2]),
+                                       slot_ptr[:-1])
+        return keys
 
     def sweep(self, hval: np.ndarray, rows: np.ndarray) -> np.ndarray:
         """New H-value of each edge ``eids[rows]``, read from ``hval``:
@@ -247,9 +204,7 @@ class WitnessIndex:
         are read."""
         if not len(rows):
             return np.zeros(0, dtype=np.int64)
-        c1, c2 = self.pairs
-        keys = np.maximum.reduceat(np.minimum(hval[c1], hval[c2]),
-                                   self.slot_ptr[:-1])
+        keys = self.keys(hval)
         edge, j = _rows(self.witness_ptr, rows)
         wu, wv = self.witnesses[:, j]
         cap = np.minimum(hval[self.eids[rows]], self.support[rows])
@@ -257,36 +212,65 @@ class WitnessIndex:
 
 
 def witness_index(csr: Csr, eids: np.ndarray, h: int) -> WitnessIndex:
-    """The :class:`WitnessIndex` of the edges ``eids``, h ∈ {1, 2}: the
-    walks :func:`path_keys` relaxes from their endpoints, once, and Δ as
-    :func:`sweep` finds it."""
-    if h not in (1, 2):
-        raise ValueError(f"a witness index needs h in (1, 2), got {h}")
+    """The :class:`WitnessIndex` of the edges ``eids``, ``h >= 1``: its
+    levels built from level 2 up, then Δ of each edge from its endpoints'
+    level-h slots."""
+    if h < 1:
+        raise ValueError(f"h must be >= 1, got {h}")
     eids = np.asarray(eids, dtype=np.int64)
-    k = len(eids)
     n = np.int64(csr.n)
     sources, ends = np.unique(
         np.concatenate([csr.src[eids], csr.dst[eids]]), return_inverse=True
     )
-    owner, j = _rows(csr.indptr, sources)
-    code = owner * n + csr.nbr[j]
-    pairs = np.stack([csr.nbr_eid[j], csr.nbr_eid[j]])
-    if h == 2:
-        i, j2 = _rows(csr.indptr, csr.nbr[j])
-        keep = csr.nbr[j2] != sources[owner[i]]
-        i, j2 = i[keep], j2[keep]
-        code = np.concatenate([code, owner[i] * n + csr.nbr[j2]])
-        pairs = np.concatenate([pairs, [csr.nbr_eid[j][i], csr.nbr_eid[j2]]], axis=1)
-    order = np.argsort(code)
-    code, pairs = code[order], pairs[:, order]
-    first = np.flatnonzero(np.diff(code, prepend=-1))
-    edge, a, b = _delta(code[first], len(sources), ends, n)
-    ids = np.int32 if max(csr.m, len(code)) < 2**31 else np.int64
+    tiers = [sources]  # the sources of levels h, h - 1, ..., 2
+    for _ in range(h - 2):
+        tiers.append(np.unique(csr.nbr[_rows(csr.indptr, tiers[-1])[1]]))
+    # A level as rows over all vertices: vertex x's slots are (x, target[j])
+    # for j in ptr[x]:ptr[x + 1], with the ids slot[j]; level 1's are x's
+    # edges.
+    ptr, target, slot = csr.indptr, csr.nbr, csr.nbr_eid
+    levels = []
+    for tier in reversed(tiers[:h - 1]):
+        pairs, slot_ptr, code = _level(csr, tier, ptr, target, slot)
+        levels.append((pairs, slot_ptr))
+        ptr = np.zeros(csr.n + 1, dtype=np.int64)
+        ptr[tier + 1] = np.bincount(code // n, minlength=len(tier))
+        np.cumsum(ptr, out=ptr)
+        target, slot = code % n, np.arange(len(code))
+    owner, j = _rows(ptr, sources)
+    edge, a, b = _delta(owner * n + target[j], len(sources), ends, n)
+    ids = np.int32 if max(csr.m, len(j)) < 2**31 else np.int64
     return WitnessIndex(
-        eids, pairs.astype(ids), np.r_[first, len(code)].astype(ids),
-        np.stack([a, b]).astype(ids),
-        np.r_[0, np.cumsum(np.bincount(edge, minlength=k))],
+        eids, tuple(levels), slot[j][np.stack([a, b])].astype(ids),
+        np.r_[0, np.cumsum(np.bincount(edge, minlength=len(eids)))],
     )
+
+
+def _level(csr: Csr, sources: np.ndarray, ptr: np.ndarray, target: np.ndarray,
+           slot: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The level over ``sources`` built on the level below, which is
+    given as the vertex rows ``(ptr, target, slot)`` of
+    :func:`witness_index`. Returns its ``(pairs, slot_ptr)``, as
+    :class:`WitnessIndex` holds a level, and each slot's code
+    ``i * n + w`` for ``(sources[i], w)``, ascending."""
+    n = np.int64(csr.n)
+    owner, j = _rows(csr.indptr, sources)  # the edges (s, x)
+    i, k = _rows(ptr, csr.nbr[j])  # x's slots (x, t)
+    t = target[k]
+    back = t == sources[owner[i]]
+    t[back] = csr.nbr[j[i[back]]]  # (x, s) stands for the edge (s, x)
+    code = owner[i] * n + t
+    del t, back
+    # The codes come in runs, one per source, which a stable sort merges.
+    order = np.argsort(code, kind="stable")
+    code = code[order]
+    first = np.flatnonzero(np.diff(code, prepend=-1))
+    # Each slot below is some contributor's c2, so len(code) bounds every id.
+    ids = np.int32 if max(csr.m, len(code)) < 2**31 else np.int64
+    pairs = np.empty((2, len(code)), dtype=ids)
+    pairs[0] = csr.nbr_eid[j[i[order]]]
+    pairs[1] = slot[k[order]]
+    return pairs, np.r_[first, len(code)].astype(ids), code[first]
 
 
 def frontier_mask(csr: Csr, old: np.ndarray, new: np.ndarray, h: int,

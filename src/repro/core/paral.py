@@ -8,8 +8,7 @@
   monotone convergence to ``t(e,h) - 2``).
 * ``single`` — Paral on one kernel task, the paper's one thread.
 * ``asyn``   — asynchronous sweeps (§4.3): each task updates its edges
-  in place, in sub-blocks by ascending ``H^(0)``: :data:`_ASYN_BLOCKS`
-  at h <= 2, :data:`_ASYN_SWEEP_BLOCKS` at h >= 3
+  in place, in :data:`_ASYN_BLOCKS` sub-blocks by ascending ``H^(0)``
   (Gauss–Seidel within a task, Jacobi between tasks; substitution 2),
   which §4.1 proves converges to the same fixpoint.
 * ``paral+`` — Asyn with Lemma 4's pruning: a sweep recomputes only the
@@ -25,11 +24,10 @@ driver between rounds, as the paper's threads share it in memory. The
 driver waits on the job as a future and on each task's socket in turn;
 closing the sockets ends the tasks.
 
-At h <= 2 a task builds a :func:`~repro.core.kernel.witness_index` of
-its edges in pass 0 and keeps one per sub-block for the call, so a
-sub-block's sweep costs its own gathers and no re-expansion of the
-endpoints it shares with the others; at h >= 3 every sub-block's sweep
-re-expands them with :func:`~repro.core.kernel.sweep`.
+A task builds a :func:`~repro.core.kernel.witness_index` of its edges
+in pass 0 and keeps one per sub-block for the call, so a sub-block's
+sweep costs its own gathers and no re-expansion of the endpoints it
+shares with the others.
 """
 import os
 import secrets
@@ -46,7 +44,7 @@ import numpy as np
 from pyspark import inheritable_thread_target
 from pyspark.sql import SparkSession
 
-from .kernel import UNBOUNDED, Csr, frontier_mask, sweep, witness_index
+from .kernel import UNBOUNDED, Csr, frontier_mask, witness_index
 
 
 @dataclass
@@ -74,14 +72,13 @@ class NotConvergedError(RuntimeError):
 
 
 # Sub-blocks per task in Asyn and Paral+. More read more values of the
-# same sweep, so fewer sweeps: in-process at 4 tasks, h=2, 4 -> 16 took
-# the YT stand-in from 9 to 8 sweeps and GA's from 16 to 13. At h <= 2,
-# with the witness index, a sub-block's sweep costs only its own
-# gathers, so the slowest task's kernel seconds per call did not rise;
-# at h >= 3 each sub-block's sweep re-expands its endpoints, and the
-# count stays at 4 (DESIGN.md, substitution 2).
+# same sweep, so fewer sweeps: in-process at 4 tasks, 4 -> 16 took the
+# YT stand-in from 9 to 8 sweeps at h=2 and from 15 to 13 at h=3, and
+# GA's from 16 to 13 at h=2 and from 30 to 26 at h=3. With the
+# witness index a sub-block's sweep costs only its own gathers, so the
+# slowest task's kernel seconds per call did not rise (DESIGN.md,
+# substitution 2).
 _ASYN_BLOCKS = 16
-_ASYN_SWEEP_BLOCKS = 4
 
 # Sweeps a call runs before it raises NotConvergedError.
 MAX_SWEEPS = 10_000
@@ -99,10 +96,11 @@ def owned_edges(csr: Csr, k: int) -> list[np.ndarray]:
     Vertices are ranked by degree, descending, ties by id, and edges
     sorted by ``(lower rank, higher rank)``, so a task's edges share
     endpoints. An edge's work is ``nd[u] + nd[v]``, where ``nd`` is the
-    sum of a vertex's neighbour degrees: the 2-hop walks
-    :func:`~repro.core.kernel.witness_index` lists from it. A cut at equal
-    edge counts puts the hub edges in one task and doubles its kernel
-    time on a power-law graph.
+    sum of a vertex's neighbour degrees: the 2-hop walks from it, which
+    the h=2 :func:`~repro.core.kernel.witness_index` lists, and only a
+    proxy for the longer walks of h >= 3. A cut at equal edge counts puts
+    the hub edges in one task and doubles its kernel time on a power-law
+    graph.
     """
     deg = np.diff(csr.indptr)
     nd = np.bincount(np.repeat(np.arange(csr.n), deg), weights=deg[csr.nbr],
@@ -123,35 +121,22 @@ def task(csr: Csr, h: int, variant: str, eids: np.ndarray):
     """A kernel task of ``variant`` over the edge ids ``eids`` it owns: a
     generator, primed with ``next``, then sent one H vector a round, which
     it leaves as it is; it replies with its edges' new values, in ``eids``
-    order, and how many it recomputed. Round 1 is pass 0. Later rounds
-    sweep ``eids`` in ascending ``H^(0)``, ties in owned order, as one block,
-    or for Asyn and Paral+ as :data:`_ASYN_BLOCKS` at h <= 2 and as
-    :data:`_ASYN_SWEEP_BLOCKS` at h >= 3; a Paral+ sweep after the first
-    skips the edges outside the frontier of the last two vectors sent,
-    which it asks of :func:`~repro.core.kernel.frontier_mask` for ``eids``
-    alone.
-
-    At h <= 2, pass 0 builds a :func:`~repro.core.kernel.witness_index` of
-    ``eids``, reads ``H^(0)`` off it and keeps one index per sub-block, so
-    a sweep of a sub-block is a few gathers. At h >= 3 each sweep of a
-    sub-block calls :func:`~repro.core.kernel.sweep`."""
-    hval = yield
-    asyn = variant in ("asyn", "paral+")
-    if h <= 2:
-        index = witness_index(csr, eids, h)
-        support = index.support
-        parts = _ASYN_BLOCKS if asyn else 1
-    else:
-        support = sweep(csr, hval, eids, h)  # hval is all UNBOUNDED
-        parts = _ASYN_SWEEP_BLOCKS if asyn else 1
+    order, and how many it recomputed. Round 1 is pass 0: it builds a
+    :func:`~repro.core.kernel.witness_index` of ``eids``, reads ``H^(0)``
+    off it and keeps one index per sub-block, so a sweep of a sub-block is
+    a few gathers. Later rounds sweep ``eids`` in ascending ``H^(0)``, ties
+    in owned order, as one block, or for Asyn and Paral+ as
+    :data:`_ASYN_BLOCKS`; a Paral+ sweep after the first skips the edges
+    outside the frontier of the last two vectors sent, which it asks of
+    :func:`~repro.core.kernel.frontier_mask` for ``eids`` alone."""
+    yield
+    index = witness_index(csr, eids, h)
+    support = index.support
+    parts = _ASYN_BLOCKS if variant in ("asyn", "paral+") else 1
     # Sub-blocks as positions in eids, as the frontier mask is indexed.
     blocks = np.array_split(np.argsort(support, kind="stable"), parts)
-    if h <= 2:
-        updates = [index.block(b).sweep for b in blocks]
-        del index  # the blocks keep what their sweeps read
-    else:
-        updates = [lambda new, rows, e=eids[b]: sweep(csr, new, e[rows], h)
-                   for b in blocks]
+    updates = [index.block(b).sweep for b in blocks]
+    del index  # the blocks keep what their sweeps read
     todo = [np.arange(len(b)) for b in blocks]  # positions in each block
     hval = yield support, len(eids)
     while True:

@@ -7,14 +7,15 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.core import kernel, paral
+from repro.core import paral
 from repro.core.kernel import (
-    UNBOUNDED, build_csr, frontier_mask, h_index, path_keys, sweep, witness_index,
+    UNBOUNDED, build_csr, frontier_mask, h_index, witness_index,
 )
 from repro.graphgen import dataset_edges
-from repro.pyref import all_h_supports, decompose_peeling
+from repro.pyref import all_h_supports, decompose_peeling, serial_hindex_decompose
 from repro.pyref.graphs import adjacency, bfs_within, canonical_edges
 from repro.pyref.hindex import h_index as ref_h_index
+from repro.pyref.hsupport import common_h_neighbors
 from repro.pyref.truss import _path_keys as ref_path_keys
 
 from .graph_catalog import SMALL_GRAPHS, WEDGE, random_graph
@@ -65,87 +66,86 @@ def schedule_states(csr, h, variant, k):
     return states, stats
 
 
-@pytest.mark.parametrize("h", [1, 2, 3])
+def algorithm3(g, values, h):
+    """The new H-value of every edge of ``g`` from ``values``, by
+    Algorithm 3 applied edge by edge with the pure-Python references."""
+    adj, vmap = adjacency(g.edges), g.as_map(values)
+    out = []
+    for u, v in g.edges:
+        delta = common_h_neighbors(adj, u, v, h)
+        pu = ref_path_keys(adj, u, h, vmap, targets=delta)
+        pv = ref_path_keys(adj, v, h, vmap, targets=delta)
+        out.append(ref_h_index(min(pu[w], pv[w]) for w in delta))
+    return np.array(out, dtype=np.int64)
+
+
+@pytest.mark.parametrize("h", [1, 2, 3, 4])
 @pytest.mark.parametrize(("name", "raw"), GRAPHS)
 class TestAgainstReference:
     def test_path_keys(self, name, raw, h):
+        """The index's level-h slot keys are the bottleneck path keys: the
+        witnesses of each edge ``(u, v)``, in ascending ``w``, pair
+        ``P(u, w)`` with ``P(v, w)``."""
         g = Graph(raw)
         values = g.random_values(name)
-        n = len(g.vertex_ids)
-        code, key = path_keys(g.csr, values, np.arange(n), h)
-        got = {}
-        for c, k in zip(code.tolist(), key.tolist()):
-            s, w = divmod(c, n)
-            got[(int(g.vertex_ids[s]), int(g.vertex_ids[w]))] = k
-        adj = adjacency(g.edges)
-        ref = {(s, w): k for s in adj
-               for w, k in ref_path_keys(adj, s, h, g.as_map(values)).items()}
-        assert got == ref
+        index = witness_index(g.csr, np.arange(len(g.edges)), h)
+        keys, ptr = index.keys(values), index.witness_ptr
+        adj, vmap = adjacency(g.edges), g.as_map(values)
+        for i, (u, v) in enumerate(g.edges):
+            delta = sorted(common_h_neighbors(adj, u, v, h))
+            pu, pv = ref_path_keys(adj, u, h, vmap), ref_path_keys(adj, v, h, vmap)
+            got = keys[index.witnesses[:, ptr[i]:ptr[i + 1]]]
+            want = [[pu[w] for w in delta], [pv[w] for w in delta]]
+            assert np.sort(got, axis=0).tolist() == np.sort(want, axis=0).tolist()
 
     def test_pass_zero_is_h_support(self, name, raw, h):
-        """So is each edge's witness count in the witness index (h <= 2)."""
+        """Each edge's witness count in the index is its h-support, and so
+        is its sweep from :data:`UNBOUNDED`."""
         g = Graph(raw)
         m = len(g.edges)
-        sup = sweep(g.csr, np.full(m, UNBOUNDED), np.arange(m), h)
-        assert g.as_map(sup) == all_h_supports(raw, h)
-        if h <= 2:
-            assert (witness_index(g.csr, np.arange(m), h).support == sup).all()
+        index = witness_index(g.csr, np.arange(m), h)
+        assert g.as_map(index.support) == all_h_supports(raw, h)
+        sup = index.sweep(np.full(m, UNBOUNDED), np.arange(m))
+        assert (sup == index.support).all()
 
     def test_sweep_of_a_subset(self, name, raw, h):
-        """One sweep, for every other edge, matches Algorithm 3 applied
-        edge by edge to the same H vector; at h <= 2 so does the witness
-        index's sweep of those edges, capped at their own values."""
+        """The index of every other edge sweeps them as Algorithm 3 does,
+        edge by edge on the same H vector, capped at their own values."""
         g = Graph(raw)
         values = g.random_values(name)
         eids = np.arange(0, len(g.edges), 2)
-        got = sweep(g.csr, values, eids, h).tolist()
-        if h <= 2:
-            index = witness_index(g.csr, eids, h)
-            capped = index.sweep(values, np.arange(len(eids)))
-            assert capped.tolist() == np.minimum(got, values[eids]).tolist()
-        adj, vmap = adjacency(g.edges), g.as_map(values)
-        ref = []
-        for i in eids.tolist():
-            u, v = g.edges[i]
-            delta = (set(bfs_within(adj, u, h)) & set(bfs_within(adj, v, h))) - {u, v}
-            pu = ref_path_keys(adj, u, h, vmap, targets=delta)
-            pv = ref_path_keys(adj, v, h, vmap, targets=delta)
-            ref.append(ref_h_index(min(pu[w], pv[w]) for w in delta))
-        assert got == ref
+        got = witness_index(g.csr, eids, h).sweep(values, np.arange(len(eids)))
+        want = np.minimum(algorithm3(g, values, h), values)[eids]
+        assert got.tolist() == want.tolist()
 
     def test_witness_index_matches_sweep(self, name, raw, h):
-        """At h <= 2 the witness index of random edge subsets, whole, cut
-        into blocks (an empty one too) and restricted to random rows, as
-        Paral+ restricts a block to its frontier, sweeps to
-        ``min(hval[e], sweep(...))`` on random H vectors, and to exactly
-        :func:`sweep` on a vector a sweep from above the h-support reached.
-        At h >= 3 there is no index."""
+        """The witness index of random edge subsets, whole, cut into blocks
+        (an empty one too) and restricted to random rows, as Paral+
+        restricts a block to its frontier, sweeps as Algorithm 3 does edge
+        by edge: capped at ``hval[e]`` on random H vectors, and exactly on
+        a vector a sweep from above the h-support reached."""
         g = Graph(raw)
         m = len(g.edges)
-        if h > 2:
-            with pytest.raises(ValueError, match="h in"):
-                witness_index(g.csr, np.arange(m), h)
-            return
         rng = np.random.default_rng(m)
-        sup = sweep(g.csr, np.full(m, UNBOUNDED), np.arange(m), h)
-        reached = sweep(g.csr, sup + g.random_values(name, top=3), np.arange(m), h)
+        every = np.arange(m)
+        whole = witness_index(g.csr, every, h)
+        reached = whole.sweep(whole.support + g.random_values(name, top=3), every)
+        exact = algorithm3(g, reached, h)
         for seed in range(4):
             eids = np.flatnonzero(rng.random(m) < 0.6)
             index = witness_index(g.csr, eids, h)
-            assert (index.support == sup[eids]).all()
+            assert (index.support == whole.support[eids]).all()
             blocks = np.array_split(rng.permutation(len(eids)), 3) + [eids[:0]]
-            for values in (g.random_values(f"{name}{seed}"), reached):
-                exact = values is reached
+            values = g.random_values(f"{name}{seed}")
+            capped = np.minimum(algorithm3(g, values, h), values)
+            for values, want in ((values, capped), (reached, exact)):
                 for b in blocks:
                     block = index.block(b)
                     rows = np.flatnonzero(rng.random(len(b)) < 0.5)
                     for got, e in ((index.sweep(values, b), eids[b]),
                                    (block.sweep(values, np.arange(len(b))), eids[b]),
                                    (block.sweep(values, rows), eids[b[rows]])):
-                        want = sweep(g.csr, values, e, h)
-                        if not exact:
-                            want = np.minimum(want, values[e])
-                        assert got.tolist() == want.tolist(), (seed, exact)
+                        assert got.tolist() == want[e].tolist(), seed
 
     def test_frontier_mask(self, name, raw, h):
         """Lemma 4 is sound: after a sweep lowers ``old`` to ``new``, one
@@ -157,12 +157,13 @@ class TestAgainstReference:
         g = Graph(raw)
         adj = adjacency(g.edges)
         every = np.arange(len(g.edges))
-        sup = sweep(g.csr, np.full(len(g.edges), UNBOUNDED), every, h)
+        index = witness_index(g.csr, every, h)
+        sup = index.support
         for old in (sup, sup + g.random_values(name, top=3)):
-            new = sweep(g.csr, old, every, h)
+            new = index.sweep(old, every)
             while (new < old).any():
                 mask = frontier_mask(g.csr, old, new, h, every)
-                nxt = sweep(g.csr, new, every, h)
+                nxt = index.sweep(new, every)
                 assert (nxt[~mask] == new[~mask]).all()
                 ends = {x for i in np.flatnonzero(new < old) for x in g.edges[i]}
                 near = ends.union(*(bfs_within(adj, x, h) for x in ends))
@@ -181,23 +182,14 @@ class TestAgainstReference:
                 states, _ = schedule_states(g.csr, h, variant, k)
                 for old, new in zip(states, states[1:]):
                     mask = frontier_mask(g.csr, old, new, h, every)
-                    nxt = sweep(g.csr, new, every, h)
+                    nxt = index.sweep(new, every)
                     assert (nxt[~mask] == new[~mask]).all(), (k, variant)
 
     @pytest.mark.parametrize("k", [1, 2, 4])
-    def test_in_task_schedule_reaches_the_fixpoint(self, name, raw, h, k,
-                                                   monkeypatch):
-        """Every variant's schedule ends at the peeling trussness; at h <= 2
-        with :func:`sweep` and :func:`path_keys` refusing to run, since a
-        task sweeps its witness index."""
+    def test_in_task_schedule_reaches_the_fixpoint(self, name, raw, h, k):
+        """Every variant's schedule ends at the peeling trussness."""
         g = Graph(raw)
         expected = decompose_peeling(raw, h)
-        if h <= 2:
-            def refuse(*args):
-                raise AssertionError("an expanding sweep ran at h <= 2")
-
-            monkeypatch.setattr(paral, "sweep", refuse)
-            monkeypatch.setattr(kernel, "path_keys", refuse)
         for variant in ("paral", "asyn", "paral+"):
             final = schedule_states(g.csr, h, variant, k)[0][-1]
             assert g.as_map(final + 2) == expected, variant
@@ -221,7 +213,9 @@ def test_asynchrony_saves_sweeps():
     """At 4 tasks, Asyn's 16 sub-blocks a task save sweeps over Paral's
     schedule: 3 against 4 on the toy graph, at most 8 on the YT stand-in
     (9 with 4 sub-blocks) and 13 on GA at bench scale (16). On YT
-    Paral+'s pruning changes none of Asyn's drops."""
+    Paral+'s pruning changes none of Asyn's drops. At h=3, on YT, Asyn
+    takes at most 13 sweeps (15 with 4 sub-blocks), and Asyn and Paral+
+    end at the serial per-edge fixpoint."""
     def sweeps(edges, variant):
         return schedule_states(Graph(edges).csr, 2, variant, 4)[1]
 
@@ -232,6 +226,12 @@ def test_asynchrony_saves_sweeps():
     assert len(asyn) <= 8 and len(plus) <= 8
     assert [s.dropped for s in plus] == [s.dropped for s in asyn]
     assert len(sweeps(dataset_edges("GA").tolist(), "asyn")) <= 13
+    g = Graph(yt)
+    expected, _ = serial_hindex_decompose(yt, 3, asynchronous=True)
+    runs = {v: schedule_states(g.csr, 3, v, 4) for v in ("asyn", "paral+")}
+    for variant, (states, _) in runs.items():
+        assert g.as_map(states[-1] + 2) == expected, variant
+    assert len(runs["asyn"][1]) <= 13
 
 
 @pytest.mark.parametrize(("name", "raw"), GRAPHS)
@@ -269,4 +269,4 @@ def test_h_index_of_inf_counts():
 def test_invalid_h_raises():
     g = Graph(SMALL_GRAPHS["triangle"])
     with pytest.raises(ValueError, match=">= 1"):
-        path_keys(g.csr, np.zeros(3, dtype=np.int64), np.arange(3), 0)
+        witness_index(g.csr, np.arange(3), 0)

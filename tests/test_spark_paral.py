@@ -173,7 +173,7 @@ class TestVariants:
     @pytest.mark.parametrize("variant", ["paral+", "asyn"])
     def test_passes_smaller_than_the_tasks(self, sparkf, variant):
         """random_graph(2) at h=2 has 13 edges: on a session with 4 task
-        slots each task owns 2-5 of them, so some of its 4 sub-blocks are
+        slots each task owns 2-5 of them, so most of its 16 sub-blocks are
         empty, and Paral+'s second and third sweeps recompute 1 edge and
         none, leaving some tasks, then all, with no edge to update."""
         edges = random_graph(2)
