@@ -81,15 +81,15 @@ def decompose(
     applies to Base, which raises :class:`TimeoutError` past it (the
     paper's INF). Raises :class:`ValueError`, before any Spark job, for
     an unknown variant, for ``h`` other than an integer >= 1 and for
-    ``parallelism`` other than ``None`` or an integer >= 1, and
+    ``parallelism`` other than ``None`` or an integer >= 1 (a bool is
+    neither), and
     :class:`~repro.core.paral.NotConvergedError` if the sweeps reach no
     fixpoint within :data:`~repro.core.paral.MAX_SWEEPS`."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; pick one of {VARIANTS}")
-    if not isinstance(h, Integral) or h < 1:
+    if not _positive_int(h):
         raise ValueError(f"h must be an integer >= 1, got {h!r}")
-    if parallelism is not None and (
-            not isinstance(parallelism, Integral) or parallelism < 1):
+    if parallelism is not None and not _positive_int(parallelism):
         raise ValueError(
             f"parallelism must be None or an integer >= 1, got {parallelism!r}")
     pairs = edge_array(edges)
@@ -117,6 +117,12 @@ def decompose(
         run(None)
         table = _result_table(spark, pairs, state + 2)
     return DecomposeResult(table, traces, stats, launch_s, support_s)
+
+
+def _positive_int(x) -> bool:
+    """Whether ``x`` is an integer >= 1; a bool, though ``Integral``, is
+    not, as :func:`~repro.graph.edges.edge_array` takes no bool ids."""
+    return isinstance(x, Integral) and not isinstance(x, bool) and x >= 1
 
 
 def worker_count(sc: SparkContext, parallelism: int | None) -> int:

@@ -27,7 +27,8 @@ Vertices are dense ids ``0..n-1`` and edges dense ids ``0..m-1``.
 Nothing here touches Spark. ``repro.core.paral``'s tasks sweep the
 sub-blocks of the edges they own with a :class:`WitnessIndex` each, and
 Paral+'s tasks run :func:`frontier_mask`, Lemma 4's pruning, over their
-own edges between their sweeps.
+own edges between their sweeps: a bit table over (vertex, threshold)
+spread ``h - 1`` hops over the CSR.
 """
 from dataclasses import dataclass
 
@@ -277,8 +278,7 @@ def frontier_mask(csr: Csr, old: np.ndarray, new: np.ndarray, h: int,
                   eids: np.ndarray) -> np.ndarray:
     """Boolean mask over the edges ``eids`` of Paral+'s frontier after a
     sweep took the H vector from ``old`` to ``new`` (both finite): the
-    edges Lemma 4 says the next sweep may lower. The index of dropped
-    edges covers every drop; only the edges ``eids`` are looked up in it.
+    edges Lemma 4 says the next sweep may lower.
 
     Edge ``e`` is in it when some edge ``d`` dropped across its value,
     ``new[d] < new[e] <= old[d]``, and an endpoint of ``d`` lies within
@@ -286,31 +286,26 @@ def frontier_mask(csr: Csr, old: np.ndarray, new: np.ndarray, h: int,
     path key it counted falls below ``new[e]``, and a key falls only
     through such an edge ``d`` on its walk of at most ``h`` edges from
     ``e``'s endpoint; so every edge outside the mask keeps its value.
+
+    As a bit table over (vertex, threshold), the thresholds ``ts`` being
+    the distinct values ``new[eids]``: bit ``i`` of a dropped edge's row
+    is set when it dropped across ``ts[i]``, a vertex's row is the OR of
+    its edges' rows, and each of ``h - 1`` steps ORs in the neighbours'
+    rows. An edge then reads its own value's bit at its two endpoints.
     """
     dropped = np.flatnonzero(new < old)
     if not len(dropped):
         return np.zeros(len(eids), dtype=bool)
-    n = np.int64(csr.n)
-    # code = i * n + x: vertex x is within h - 1 hops of dropped[i].
-    ends = np.concatenate([csr.src[dropped], csr.dst[dropped]])
-    code = np.unique(np.tile(np.arange(len(dropped)), 2) * n + ends)
-    layer = code
+    ts, t = np.unique(new[eids], return_inverse=True)
+    rows = np.zeros((csr.m, (len(ts) + 7) // 8), dtype=np.uint8)
+    d = dropped[:, None]
+    rows[dropped] = np.packbits((new[d] < ts) & (ts <= old[d]), axis=1,
+                                bitorder="little")
+    # build_csr gives every vertex an edge, so no reduceat segment is empty.
+    starts = csr.indptr[:-1]
+    near = np.bitwise_or.reduceat(rows[csr.nbr_eid], starts)
     for _ in range(h - 1):
-        i, j = _rows(csr.indptr, layer % n)
-        layer = np.setdiff1d(layer[i] - layer[i] % n + csr.nbr[j], code)
-        code = np.union1d(code, layer)
-    # Each code puts the interval (new[d], old[d]] at vertex x. Sorted by
-    # (x, new[d]), the running maximum of (x, old[d]) answers "does an
-    # interval at y contain t?" for a query (y, t) by one binary search.
-    x, d = code % n, dropped[code // n]
-    top = old.max() + 1  # above every H-value: x * top + value orders by x
-    key = x * top + new[d]
-    order = np.argsort(key)
-    key, reach = key[order], np.maximum.accumulate((x * top + old[d])[order])
-
-    def crossed(y):
-        query = y * top + new[eids]
-        last = np.searchsorted(key, query) - 1  # last (x, new[d]) < (y, t)
-        return (last >= 0) & (reach[last] >= query)
-
-    return crossed(csr.src[eids]) | crossed(csr.dst[eids])
+        near |= np.bitwise_or.reduceat(near[csr.nbr], starts)
+    byte = t >> 3
+    bits = near[csr.src[eids], byte] | near[csr.dst[eids], byte]
+    return (bits >> (t & 7) & 1).astype(bool)

@@ -63,7 +63,7 @@ class TestOptionChecks:
         sc.setJobGroup(group, "calls with bad options")
         try:
             for h, parallelism in [(2, -1), (2, 0), (2, 2.5), (0, None),
-                                   (2.5, None)]:
+                                   (2.5, None), (True, None), (2, True)]:
                 with pytest.raises(ValueError, match="integer >= 1"):
                     decompose(sparkf, self.EDGES, h, variant,
                               parallelism=parallelism)

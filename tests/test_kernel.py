@@ -79,6 +79,18 @@ def algorithm3(g, values, h):
     return np.array(out, dtype=np.int64)
 
 
+def lemma4(g, old, new, h):
+    """Lemma 4's frontier in pure Python: whether each edge ``e`` of ``g``
+    has an edge ``d`` with ``new[d] < new[e] <= old[d]`` and an endpoint
+    within ``h - 1`` hops of an endpoint of ``e``."""
+    adj = adjacency(g.edges)
+    near = {x: {x, *bfs_within(adj, x, h - 1)} for x in adj}
+    dropped = [(g.edges[d], new[d], old[d]) for d in np.flatnonzero(new < old)]
+    return [any(lo < t <= hi and not near[u].union(near[v]).isdisjoint(ends)
+                for ends, lo, hi in dropped)
+            for (u, v), t in zip(g.edges, new)]
+
+
 @pytest.mark.parametrize("h", [1, 2, 3, 4])
 @pytest.mark.parametrize(("name", "raw"), GRAPHS)
 class TestAgainstReference:
@@ -148,14 +160,13 @@ class TestAgainstReference:
                         assert got.tolist() == want[e].tolist(), seed
 
     def test_frontier_mask(self, name, raw, h):
-        """Lemma 4 is sound: after a sweep lowers ``old`` to ``new``, one
-        more sweep leaves every edge outside the mask as it was. The mask
-        lies inside the h-hop frontier, the edges with an endpoint within
-        h hops of an endpoint of an edge the sweep lowered. Runs follow
-        the sweeps from the h-support and from random vectors above it
-        (any sweep's result is at most the h-support, so those lower too)."""
+        """The mask is Lemma 4's frontier, as :func:`lemma4` reads it, and
+        Lemma 4 is sound: after a sweep lowers ``old`` to ``new``, one
+        more sweep leaves every edge outside the mask as it was. Runs
+        follow the sweeps from the h-support and from random vectors above
+        it (any sweep's result is at most the h-support, so those lower
+        too)."""
         g = Graph(raw)
-        adj = adjacency(g.edges)
         every = np.arange(len(g.edges))
         index = witness_index(g.csr, every, h)
         sup = index.support
@@ -163,12 +174,9 @@ class TestAgainstReference:
             new = index.sweep(old, every)
             while (new < old).any():
                 mask = frontier_mask(g.csr, old, new, h, every)
+                assert mask.tolist() == lemma4(g, old, new, h)
                 nxt = index.sweep(new, every)
                 assert (nxt[~mask] == new[~mask]).all()
-                ends = {x for i in np.flatnonzero(new < old) for x in g.edges[i]}
-                near = ends.union(*(bfs_within(adj, x, h) for x in ends))
-                hop_frontier = [u in near or v in near for u, v in g.edges]
-                assert not (mask & ~np.array(hop_frontier)).any()
                 # A task's query of its owned range is the same mask there.
                 for k in (2, 4):
                     for eids in paral.owned_edges(g.csr, min(k, g.csr.m)):
@@ -182,6 +190,7 @@ class TestAgainstReference:
                 states, _ = schedule_states(g.csr, h, variant, k)
                 for old, new in zip(states, states[1:]):
                     mask = frontier_mask(g.csr, old, new, h, every)
+                    assert mask.tolist() == lemma4(g, old, new, h), (k, variant)
                     nxt = index.sweep(new, every)
                     assert (nxt[~mask] == new[~mask]).all(), (k, variant)
 
