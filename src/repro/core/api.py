@@ -10,9 +10,10 @@ asyn      Paral + asynchronous update (in place within each task)
 paral+    Asyn + Lemma-4 pruning
 ========  =====================================================
 
-Base is :func:`repro.core.baseline.baseline_decompose`. The other four
-run :func:`repro.core.paral.schedule` over the CSR that
-:func:`decompose` builds, in the kernel tasks of
+:func:`decompose` alone reads raw edges. It builds one CSR, and every
+variant works on it and its edge ids: Base peels it in
+:func:`repro.core.baseline.baseline_decompose`; the other four run
+:func:`repro.core.paral.schedule` over it, in the kernel tasks of
 :func:`repro.core.paral.kernel_workers`. Every variant returns a
 :class:`DecomposeResult` whose ``trussness`` is a Spark DataFrame
 ``(src, dst, trussness)``, so results are interchangeable in tests and
@@ -20,7 +21,7 @@ tables (Base's has no sweep stats — peeling has no sweeps).
 """
 import time
 from dataclasses import dataclass, field
-from numbers import Integral
+from numbers import Integral, Real
 
 import numpy as np
 import pandas as pd
@@ -80,27 +81,29 @@ def decompose(
     the sweeping variants, and ``single`` runs one task; ``budget_s``
     applies to Base, which raises :class:`TimeoutError` past it (the
     paper's INF). Raises :class:`ValueError`, before any Spark job, for
-    an unknown variant, for ``h`` other than an integer >= 1 and for
-    ``parallelism`` other than ``None`` or an integer >= 1 (a bool is
+    an unknown variant, for ``h`` other than an integer >= 1, for
+    ``parallelism`` other than ``None`` or an integer >= 1 and for
+    ``budget_s`` other than ``None`` or a number >= 0 (a bool is
     neither), and
     :class:`~repro.core.paral.NotConvergedError` if the sweeps reach no
     fixpoint within :data:`~repro.core.paral.MAX_SWEEPS`."""
     if variant not in VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; pick one of {VARIANTS}")
-    if not _positive_int(h):
+    if not _at_least(h, Integral, 1):
         raise ValueError(f"h must be an integer >= 1, got {h!r}")
-    if parallelism is not None and not _positive_int(parallelism):
+    if parallelism is not None and not _at_least(parallelism, Integral, 1):
         raise ValueError(
             f"parallelism must be None or an integer >= 1, got {parallelism!r}")
+    if budget_s is not None and not _at_least(budget_s, Real, 0):
+        raise ValueError(f"budget_s must be None or a number >= 0, got {budget_s!r}")
     pairs = edge_array(edges)
     if not len(pairs):
         return DecomposeResult(_result_table(spark, pairs, []))
-    if variant == "base":
-        trussness = baseline_decompose(pairs, h, budget_s)
-        return DecomposeResult(_result_table(
-            spark, pairs, [trussness[u, v] for u, v in pairs.tolist()]))
-
     csr = build_csr(pairs)
+    if variant == "base":
+        return DecomposeResult(_result_table(
+            spark, pairs, baseline_decompose(csr, h, budget_s)))
+
     sc = spark.sparkContext
     k = 1 if variant == "single" else min(worker_count(sc, parallelism), csr.m)
     traces = []
@@ -119,10 +122,11 @@ def decompose(
     return DecomposeResult(table, traces, stats, launch_s, support_s)
 
 
-def _positive_int(x) -> bool:
-    """Whether ``x`` is an integer >= 1; a bool, though ``Integral``, is
-    not, as :func:`~repro.graph.edges.edge_array` takes no bool ids."""
-    return isinstance(x, Integral) and not isinstance(x, bool) and x >= 1
+def _at_least(x, kind, low) -> bool:
+    """Whether ``x`` is a ``kind`` of number >= ``low``. A bool, though
+    ``Integral``, is not, as :func:`~repro.graph.edges.edge_array` takes
+    no bool ids; nor is NaN, which fails the comparison."""
+    return isinstance(x, kind) and not isinstance(x, bool) and x >= low
 
 
 def worker_count(sc: SparkContext, parallelism: int | None) -> int:

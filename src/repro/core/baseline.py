@@ -3,20 +3,22 @@
 The paper's baseline is inherently one-edge-at-a-time (each deletion
 invalidates h-supports in its h-hop vicinity), so it runs as driver-side
 Python, exactly as the paper runs it as serial C++ (DESIGN.md
-substitution 4). The paper's 4-day INF convention is reproduced with a
-wall-clock budget: past it the call raises :class:`TimeoutError`, which
-the experiment harness reports as INF.
+substitution 4). It peels the CSR that ``decompose`` builds, with its
+own adjacency, BFS ball and h-support: no sweep-kernel code. The
+paper's 4-day INF convention is reproduced with a wall-clock budget:
+past it the call raises :class:`TimeoutError`, which the experiment
+harness reports as INF.
 
 After deleting edge ``e = (u, v)`` only edges with an endpoint within
 ``h - 1`` hops of ``u`` or ``v`` (pre-deletion) can lose a common
 h-neighbor — any qualifying path through ``e`` reaches ``u`` or ``v``
-within ``h - 1`` hops of its start — so only those are recomputed
-(Algorithm 1 line 11's ``E_G(e, h)``, as a safe superset).
+within ``h - 1`` hops of its start — so only those are recomputed, each
+once (Algorithm 1 line 11's ``E_G(e, h)``, as a safe superset).
 """
 import time
 from collections import deque
 
-from repro.graph.edges import edge_array
+import numpy as np
 
 
 def _ball(adj, sources, radius):
@@ -27,7 +29,7 @@ def _ball(adj, sources, radius):
         x = frontier.popleft()
         if dist[x] == radius:
             continue
-        for y in adj.get(x, ()):
+        for y in adj[x]:
             if y not in dist:
                 dist[y] = dist[x] + 1
                 frontier.append(y)
@@ -40,61 +42,50 @@ def _support(adj, u, v, h):
     return len(_ball(adj, (u,), h) & _ball(adj, (v,), h)) - 2
 
 
-def baseline_decompose(edges, h, budget_s: float | None = None) -> dict:
-    """Run Algorithm 1; returns the h-trussness of every edge as a
-    ``{(src, dst): trussness}`` dict.
+def baseline_decompose(csr, h, budget_s: float | None = None) -> np.ndarray:
+    """Run Algorithm 1 on the graph ``csr``; returns the h-trussness of
+    every edge as an int64 array in edge-id order.
 
-    ``edges`` is any input :func:`~repro.graph.edges.edge_array` accepts.
     ``budget_s`` bounds wall-clock time: the call raises
     :class:`TimeoutError` once it has run longer (the paper's INF).
     """
     t0 = time.monotonic()
-    edges = edge_array(edges).tolist()
-    adj = {}
-    for u, v in edges:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
+    src, dst, indptr, nbr, nbr_eid = (
+        a.tolist() for a in (csr.src, csr.dst, csr.indptr, csr.nbr, csr.nbr_eid))
+    # adj[x] maps each neighbour of x to the id of the edge between them.
+    adj = [dict(zip(nbr[a:b], nbr_eid[a:b]))
+           for a, b in zip(indptr, indptr[1:])]
 
     # Lines 1-5: initial h-supports into bins (bin sort as in core decomp).
-    key = {}  # edge -> current bin index (= clamped support + 2)
-    for u, v in edges:
-        key[(u, v)] = _support(adj, u, v, h) + 2
+    # key[e] is e's bin (clamped support + 2) and, once peeled, its trussness.
+    key = [_support(adj, u, v, h) + 2 for u, v in zip(src, dst)]
     bins = {}
-    for e, k in key.items():
+    for e, k in enumerate(key):
         bins.setdefault(k, set()).add(e)
-    ubtruss = max(key.values(), default=2)
+    ubtruss = max(key, default=2)
 
-    trussness = {}
     k = 2
-    n_peeled = 0
     # Lines 6-13: peel in increasing k.
     while k <= ubtruss:
         bucket = bins.get(k)
         if not bucket:
             k += 1
             continue
+        if budget_s is not None and time.monotonic() - t0 > budget_s:
+            raise TimeoutError(
+                f"Base exceeded its budget of {budget_s} s (paper: INF)")
         e = bucket.pop()
-        u, v = e
-        trussness[e] = k
-        n_peeled += 1
-        if budget_s is not None and n_peeled & 15 == 1:  # every 16, incl. first
-            if time.monotonic() - t0 > budget_s:
-                raise TimeoutError(
-                    f"Base exceeded its budget of {budget_s} s (paper: INF)")
+        u, v = src[e], dst[e]
         # Vicinity whose supports may drop — measured before deletion.
-        affected_vertices = _ball(adj, (u, v), h - 1) if h > 1 else {u, v}
-        adj[u].discard(v)
-        adj[v].discard(u)
-        del key[e]
-        for a in affected_vertices:
-            for b in adj.get(a, ()):
-                ep = (a, b) if a < b else (b, a)
-                cur = key.get(ep)
-                if cur is None or cur <= k:
-                    continue  # already peeled or already doomed at this k
-                new = max(_support(adj, ep[0], ep[1], h) + 2, k)
-                if new != cur:
-                    bins[cur].discard(ep)
-                    bins.setdefault(new, set()).add(ep)
-                    key[ep] = new
-    return trussness
+        vicinity = _ball(adj, (u, v), h - 1)
+        del adj[u][v], adj[v][u]
+        for f in {f for a in vicinity for f in adj[a].values()}:
+            cur = key[f]
+            if cur <= k:
+                continue  # already doomed at this k
+            new = max(_support(adj, src[f], dst[f], h) + 2, k)
+            if new != cur:
+                bins[cur].discard(f)
+                bins.setdefault(new, set()).add(f)
+                key[f] = new
+    return np.array(key, dtype=np.int64)

@@ -215,9 +215,11 @@ class WitnessIndex:
 def witness_index(csr: Csr, eids: np.ndarray, h: int) -> WitnessIndex:
     """The :class:`WitnessIndex` of the edges ``eids``, ``h >= 1``: its
     levels built from level 2 up, then Δ of each edge from its endpoints'
-    level-h slots."""
+    level-h slots. An ``h`` above ``n - 1`` builds the index of ``n - 1``,
+    which has the same Δ and path keys."""
     if h < 1:
         raise ValueError(f"h must be >= 1, got {h}")
+    h = min(h, csr.n - 1)  # a simple path has at most n - 1 edges
     eids = np.asarray(eids, dtype=np.int64)
     n = np.int64(csr.n)
     sources, ends = np.unique(
@@ -291,7 +293,8 @@ def frontier_mask(csr: Csr, old: np.ndarray, new: np.ndarray, h: int,
     the distinct values ``new[eids]``: bit ``i`` of a dropped edge's row
     is set when it dropped across ``ts[i]``, a vertex's row is the OR of
     its edges' rows, and each of ``h - 1`` steps ORs in the neighbours'
-    rows. An edge then reads its own value's bit at its two endpoints.
+    rows, ``n - 2`` steps at most, which reach every vertex. An edge
+    then reads its own value's bit at its two endpoints.
     """
     dropped = np.flatnonzero(new < old)
     if not len(dropped):
@@ -304,7 +307,7 @@ def frontier_mask(csr: Csr, old: np.ndarray, new: np.ndarray, h: int,
     # build_csr gives every vertex an edge, so no reduceat segment is empty.
     starts = csr.indptr[:-1]
     near = np.bitwise_or.reduceat(rows[csr.nbr_eid], starts)
-    for _ in range(h - 1):
+    for _ in range(min(h, csr.n - 1) - 1):
         near |= np.bitwise_or.reduceat(near[csr.nbr], starts)
     byte = t >> 3
     bits = near[csr.src[eids], byte] | near[csr.dst[eids], byte]

@@ -4,13 +4,25 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import repro
 from repro.core.baseline import baseline_decompose
+from repro.core.kernel import build_csr
+from repro.graph.edges import edge_array
 from repro.pyref import decompose_peeling
 
 from .graph_catalog import SMALL_GRAPHS, random_graph
+
+
+def base(edges, h, budget_s=None):
+    """Base's trussness of the raw ``edges``, run on the CSR that
+    ``decompose`` builds from them, as a ``{(src, dst): trussness}`` dict."""
+    pairs = edge_array(edges)
+    trussness = baseline_decompose(build_csr(pairs), h, budget_s)
+    assert trussness.dtype == np.int64 and trussness.shape == (len(pairs),)
+    return dict(zip(map(tuple, pairs.tolist()), trussness.tolist()))
 
 
 class TestBaselineCorrectness:
@@ -18,21 +30,21 @@ class TestBaselineCorrectness:
     @pytest.mark.parametrize("h", [1, 2])
     def test_catalog_graphs(self, name, h):
         edges = SMALL_GRAPHS[name]
-        assert baseline_decompose(edges, h) == decompose_peeling(edges, h)
+        assert base(edges, h) == decompose_peeling(edges, h)
 
     @pytest.mark.parametrize("seed", range(10))
     @pytest.mark.parametrize("h", [1, 2, 3])
     def test_random_graphs(self, seed, h):
         edges = random_graph(seed)
-        assert baseline_decompose(edges, h) == decompose_peeling(edges, h)
+        assert base(edges, h) == decompose_peeling(edges, h)
 
     @pytest.mark.parametrize("h", [1, 2, 3, 4])
     def test_toy_all_h(self, h):
         edges = SMALL_GRAPHS["toy"]
-        assert baseline_decompose(edges, h) == decompose_peeling(edges, h)
+        assert base(edges, h) == decompose_peeling(edges, h)
 
     def test_empty_graph(self):
-        assert baseline_decompose([], 2) == {}
+        assert base([], 2) == {}
 
 
 class TestBaselineBudget:
@@ -40,33 +52,11 @@ class TestBaselineBudget:
         """Past its budget Base raises, and the harness reports INF."""
         edges = random_graph(0, n=60, p=0.2)
         with pytest.raises(TimeoutError, match="INF"):
-            baseline_decompose(edges, 3, budget_s=0.0)
+            base(edges, 3, budget_s=0.0)
 
     def test_generous_budget_finishes(self):
         edges = SMALL_GRAPHS["toy"]
-        assert (baseline_decompose(edges, 2, budget_s=120.0)
-                == decompose_peeling(edges, 2))
-
-
-class TestInputForms:
-    """Base takes every edge input ``decompose`` takes; a triangle given
-    with reversed and repeated edges."""
-
-    EDGES = [(2, 1), (1, 3), (3, 2), (1, 2)]
-    EXPECTED = {(1, 2): 3, (1, 3): 3, (2, 3): 3}
-
-    def test_from_list(self):
-        assert baseline_decompose(self.EDGES, 1) == self.EXPECTED
-
-    def test_from_pandas(self):
-        import pandas as pd
-
-        pdf = pd.DataFrame(self.EDGES, columns=["src", "dst"])
-        assert baseline_decompose(pdf, 1) == self.EXPECTED
-
-    def test_from_spark(self, sparkf):
-        df = sparkf.createDataFrame(self.EDGES, "u long, v long")
-        assert baseline_decompose(df, 1) == self.EXPECTED
+        assert base(edges, 2, budget_s=120.0) == decompose_peeling(edges, 2)
 
 
 def test_core_loads_no_reference_oracle():

@@ -106,6 +106,16 @@ class TestDatasets:
         n = max(4, int(spec.n_paper * spec.bench_scale))
         assert dataset_edges(key)[:, 0].max() >= 0.8 * n
 
+    @pytest.mark.parametrize("key", sorted(DATASETS))
+    def test_bench_scale_degree_skew(self, key):
+        """DESIGN substitution 5's split: the power-law, R-MAT and
+        preferential-attachment stand-ins are skewed (maximum over mean
+        degree 32, 54, 46 and 42 for YT, VL, AM and AN), the uniform ones
+        are not (3.9 and 2.9 for SC and GA)."""
+        deg = np.unique(dataset_edges(key), return_counts=True)[1]
+        skew = deg.max() / deg.mean()
+        assert skew <= 5 if DATASETS[key].family == "er" else skew >= 10
+
     def test_registry_has_the_six_paper_datasets(self):
         assert sorted(DATASETS) == ["AM", "AN", "GA", "SC", "VL", "YT"]
 

@@ -279,3 +279,21 @@ def test_invalid_h_raises():
     g = Graph(SMALL_GRAPHS["triangle"])
     with pytest.raises(ValueError, match=">= 1"):
         witness_index(g.csr, np.arange(3), 0)
+
+
+def test_h_beyond_the_graph_is_capped():
+    """A simple path has at most ``n - 1`` edges, so any larger h gives
+    the answer of ``h = n - 1``, and at no more cost: on the toy graph
+    (n = 14) the index at h = 10**4 has the ``n - 2`` levels, the
+    support and the slot keys of ``h = n - 1``, and the same mask."""
+    g = Graph(SMALL_GRAPHS["toy"])
+    n, every = g.csr.n, np.arange(g.csr.m)
+    big, top = witness_index(g.csr, every, 10**4), witness_index(g.csr, every, n - 1)
+    assert len(big.levels) == n - 2
+    assert (big.support == top.support).all()
+    old = big.support + g.random_values("toy", top=3)
+    assert (big.keys(old) == top.keys(old)).all()
+    new = big.sweep(old, every)
+    assert (new < old).any()
+    assert (frontier_mask(g.csr, old, new, 10**4, every)
+            == frontier_mask(g.csr, old, new, n - 1, every)).all()
