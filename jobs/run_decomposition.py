@@ -38,6 +38,10 @@ def main(argv=None):
     ap.add_argument("--scale", type=float, default=None)
     ap.add_argument("--out", default=None)
     args = ap.parse_args(argv)
+    if args.h < 1:
+        ap.error("--h must be at least 1")
+    if args.scale is not None and not args.scale > 0:  # NaN fails too
+        ap.error("--scale must be a number above 0")
     from _session import get_spark
 
     spark = get_spark(f"decompose-{args.dataset}-h{args.h}-{args.variant}")

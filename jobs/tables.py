@@ -55,6 +55,14 @@ def run(spark, argv=None):
         ap.error(f"no table {sorted(unknown)}; the tables are 1-5")
     if unknown := set(args.datasets or []) - DATASETS.keys():
         ap.error(f"no dataset {sorted(unknown)}; pick from {sorted(DATASETS)}")
+    if min(args.h_values or [1]) < 1:
+        ap.error("--h-values must all be at least 1")
+    if min(args.parallelism or [1]) < 1:
+        ap.error("--parallelism must all be at least 1")
+    if not args.budget >= 0:  # NaN fails too
+        ap.error("--budget must be a number of seconds, at least 0")
+    if args.scale is not None and not args.scale > 0:
+        ap.error("--scale must be a number above 0")
     print(host_line(spark), flush=True)
     for t in args.tables:
         print(f"\n## T{t}\n\n{markdown_table(*tables[t]())}", flush=True)

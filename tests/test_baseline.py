@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import repro
+from repro.core import baseline
 from repro.core.baseline import baseline_decompose
 from repro.core.kernel import build_csr
 from repro.graph.edges import edge_array
@@ -53,6 +54,18 @@ class TestBaselineBudget:
         edges = random_graph(0, n=60, p=0.2)
         with pytest.raises(TimeoutError, match="INF"):
             base(edges, 3, budget_s=0.0)
+
+    def test_budget_bounds_initial_keys(self, monkeypatch):
+        """The budget is checked before each initial key, so a spent
+        budget raises before Base builds its 2m initial balls."""
+        calls = []
+        ball = baseline._ball
+        monkeypatch.setattr(baseline, "_ball",
+                            lambda *a: calls.append(a) or ball(*a))
+        edges = random_graph(0, n=60, p=0.2)
+        with pytest.raises(TimeoutError, match="INF"):
+            base(edges, 2, budget_s=0.0)
+        assert len(calls) <= 2
 
     def test_generous_budget_finishes(self):
         edges = SMALL_GRAPHS["toy"]

@@ -74,7 +74,15 @@ class TestTableJobs:
     @pytest.mark.parametrize(("argv", "message"), [
         (["--tables", "6"], "no table [6]"),
         (["--datasets", "YT,XX"], "no dataset ['XX']"),
-    ], ids=["table", "dataset"])
+        (["--h-values", "2,0"], "--h-values must all be at least 1"),
+        (["--parallelism", "0"], "--parallelism must all be at least 1"),
+        (["--budget", "-1"], "--budget must be a number of seconds, at least 0"),
+        (["--budget", "nan"], "--budget must be a number of seconds, at least 0"),
+        (["--scale", "0"], "--scale must be a number above 0"),
+        (["--scale", "-0.5"], "--scale must be a number above 0"),
+        (["--scale", "nan"], "--scale must be a number above 0"),
+    ], ids=["table", "dataset", "h", "parallelism", "budget", "budget-nan",
+            "scale-zero", "scale-negative", "scale-nan"])
     def test_unknown_selection_is_rejected(self, sparkf, capsys, argv, message):
         with pytest.raises(SystemExit):
             tables.run(sparkf, argv)
@@ -87,14 +95,18 @@ class TestTableJobs:
         assert sweeps >= 1
         assert all(k >= 2 for k in hist)
 
-    @pytest.mark.parametrize("argv", [
-        ["--dataset", "XX"],
-        ["--dataset", "YT", "--variant", "fast"],
-    ], ids=["dataset", "variant"])
-    def test_run_decomposition_rejects_before_spark(self, monkeypatch, capsys, argv):
+    @pytest.mark.parametrize(("argv", "message"), [
+        (["--dataset", "XX"], "invalid choice"),
+        (["--dataset", "YT", "--variant", "fast"], "invalid choice"),
+        (["--dataset", "YT", "--h", "0"], "--h must be at least 1"),
+        (["--dataset", "YT", "--scale", "0"], "--scale must be a number above 0"),
+        (["--dataset", "YT", "--scale", "nan"], "--scale must be a number above 0"),
+    ], ids=["dataset", "variant", "h", "scale-zero", "scale-nan"])
+    def test_run_decomposition_rejects_before_spark(self, monkeypatch, capsys,
+                                                    argv, message):
         started = []
         monkeypatch.setattr(_session, "get_spark", started.append)
         with pytest.raises(SystemExit) as exc:
             run_decomposition.main(argv)
         assert exc.value.code == 2 and started == []
-        assert "invalid choice" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
