@@ -71,11 +71,11 @@ def sparkf() -> SparkSession:
     """One local-mode SparkSession for the whole test session.
 
     Master and driver memory come from ``PYSPARK_SUBMIT_ARGS`` (set above,
-    pre-JVM-launch). Per-session configs that *are* honoured post-launch
-    are set here: 8 shuffle partitions (the test graphs are tiny), Arrow,
-    and broadcast joins off, as in ``jobs/_session.py`` and the
-    benchmark's session, so the dataflow reference layers, the only code
-    that joins, are tested with the shuffle joins those sessions run.
+    pre-JVM-launch). The SQL settings below serve the dataflow reference
+    layers, the only code that joins: 8 shuffle partitions (the test
+    graphs are tiny), and Arrow on and broadcast joins off as in the
+    session of ``perfbench``'s traced run, so those layers are tested
+    with the shuffle joins it runs. ``decompose`` reads none of them.
     """
     s = (
         SparkSession.builder.appName("repro")
@@ -95,3 +95,16 @@ def sparkf() -> SparkSession:
     )
     yield s
     s.stop()
+
+
+@pytest.fixture(params=["true", "false"], ids=["arrow-on", "arrow-off"])
+def arrow_sparkf(sparkf, request):
+    """``sparkf`` with PySpark's Arrow setting on, then off as in a
+    default session; the setting is restored after the test."""
+    key = "spark.sql.execution.arrow.pyspark.enabled"
+    before = sparkf.conf.get(key)
+    sparkf.conf.set(key, request.param)
+    try:
+        yield sparkf
+    finally:
+        sparkf.conf.set(key, before)

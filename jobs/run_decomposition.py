@@ -20,14 +20,8 @@ def run(spark, dataset, h, variant="paral", scale=None, out=None):
     res = decompose(spark, edges, h, variant=variant)
     if out:
         res.trussness.write.mode("overwrite").parquet(out)
-    hist = {
-        int(r.trussness): int(r.cnt)
-        for r in res.trussness.groupBy("trussness")
-        .count()
-        .withColumnRenamed("count", "cnt")
-        .collect()
-    }
-    return hist, res.sweeps
+    counts = res.trussness.groupBy("trussness").count().collect()
+    return {int(k): int(n) for k, n in counts}, res.sweeps
 
 
 def main(argv=None):

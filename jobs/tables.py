@@ -18,6 +18,7 @@ import argparse
 
 from repro.bench import (
     BUDGET_S, host_line, markdown_table, table1, table2, table3, table4, table5,
+    warm_up,
 )
 from repro.graphgen import DATASETS
 
@@ -64,6 +65,8 @@ def run(spark, argv=None):
     if args.scale is not None and not args.scale > 0:
         ap.error("--scale must be a number above 0")
     print(host_line(spark), flush=True)
+    if set(args.tables) - {1}:  # T1 makes no Spark call
+        warm_up(spark)
     for t in args.tables:
         print(f"\n## T{t}\n\n{markdown_table(*tables[t]())}", flush=True)
 

@@ -14,4 +14,5 @@ from .harness import (  # noqa: F401
     table3,
     table4,
     table5,
+    warm_up,
 )

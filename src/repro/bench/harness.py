@@ -47,6 +47,11 @@ def host_line(spark) -> str:
     )
 
 
+def warm_up(spark) -> None:
+    """An untimed call, so that no timed cell carries a session's start-up."""
+    decompose(spark, toy_edges(), 2, "paral")
+
+
 def run_cell(
     spark, dataset: str, h: int, variant: str, *, parallelism: int | None = None,
     budget_s: float = BUDGET_S, scale: float | None = None,

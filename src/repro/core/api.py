@@ -17,7 +17,8 @@ variant works on it and its edge ids: Base peels it in
 :func:`repro.core.paral.kernel_workers`. Every variant returns a
 :class:`DecomposeResult` whose ``trussness`` is a Spark DataFrame
 ``(src, dst, trussness)``, so results are interchangeable in tests and
-tables (Base's has no sweep stats — peeling has no sweeps).
+tables (Base's has no sweep stats). Edges and results cross the Spark
+boundary through Arrow alone: a call reads no session setting.
 """
 import time
 from dataclasses import dataclass, field
@@ -25,9 +26,9 @@ from numbers import Integral, Real
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from pyspark import SparkContext
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql.types import LongType, StructField, StructType
 
 from repro.graph.edges import edge_array
 
@@ -36,10 +37,6 @@ from .kernel import build_csr
 from .paral import SweepStats, kernel_workers, schedule
 
 VARIANTS = ("base", "single", "paral", "asyn", "paral+")
-
-# Built once: a DDL string would be parsed in the JVM on every call.
-RESULT_SCHEMA = StructType([StructField(name, LongType())
-                            for name in ("src", "dst", "trussness")])
 
 
 @dataclass
@@ -137,7 +134,8 @@ def worker_count(sc: SparkContext, parallelism: int | None) -> int:
 
 
 def _result_table(spark: SparkSession, pairs: np.ndarray, trussness) -> DataFrame:
-    """The :data:`RESULT_SCHEMA` table of the ``(m, 2)`` edges ``pairs``."""
-    out = pd.DataFrame({"src": pairs[:, 0], "dst": pairs[:, 1],
-                        "trussness": np.asarray(trussness, dtype=np.int64)})
-    return spark.createDataFrame(out, RESULT_SCHEMA)
+    """The ``(src, dst, trussness)`` table of the ``(m, 2)`` edges
+    ``pairs``, every column ``bigint``, built through Arrow."""
+    return spark.createDataFrame(pa.table({
+        "src": pairs[:, 0], "dst": pairs[:, 1],
+        "trussness": np.asarray(trussness, dtype=np.int64)}))

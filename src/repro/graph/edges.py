@@ -13,21 +13,21 @@ from numbers import Integral
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import IntegralType
 
 
 def _endpoints(edges: DataFrame) -> DataFrame:
-    """The two integer columns of a Spark edge table as ``u, v: long``."""
+    """The two integer columns of a Spark edge table as ``u, v``."""
     if len(edges.columns) != 2:
         raise ValueError(f"an edge table has 2 columns, got {edges.columns}")
     for f in edges.schema.fields:
         if not isinstance(f.dataType, IntegralType):
             raise ValueError(f"vertex ids must be integers; column {f.name!r} "
                              f"is {f.dataType.simpleString()}")
-    return edges.toDF("u", "v").select(F.col("u").cast("long"),
-                                       F.col("v").cast("long"))
+    return edges.toDF("u", "v")
 
 
 def _local_array(edges) -> np.ndarray:
@@ -64,24 +64,25 @@ def edge_array(edges) -> np.ndarray:
 
     ``edges`` may be a list of ``(u, v)`` pairs, an ``(m, 2)`` ndarray, a
     pandas DataFrame with two columns, or a Spark DataFrame with two
-    integer columns; a Spark DataFrame is collected to the driver (one
-    Spark job). Any other shape, and ids that are null, not integers or
-    outside int64, raise :class:`ValueError`.
+    integer columns; a Spark DataFrame is collected to the driver through
+    Arrow (one Spark job). Any other shape, and ids that are null, not
+    integers or outside int64, raise :class:`ValueError`.
     """
     if isinstance(edges, DataFrame):
-        edges = _endpoints(edges).toPandas()
+        edges = _endpoints(edges).toArrow().to_pandas()
     arr = _local_array(edges)
-    arr = arr[arr[:, 0] != arr[:, 1]]
-    return np.unique(np.sort(arr, axis=1), axis=0)
+    arr = np.sort(arr[arr[:, 0] != arr[:, 1]], axis=1)
+    arr = arr[np.lexsort((arr[:, 1], arr[:, 0]))]  # np.unique(axis=0): ~4x slower
+    dup = (arr[1:] == arr[:-1]).all(axis=1)
+    return np.delete(arr, np.flatnonzero(dup) + 1, axis=0)
 
 
 def edges_df(spark: SparkSession, edges) -> DataFrame:
     """:func:`edge_array` of ``edges`` as a DataFrame ``(src, dst, eid)``
     with ``eid`` the row index."""
     arr = edge_array(edges)
-    pdf = pd.DataFrame({"src": arr[:, 0], "dst": arr[:, 1], "eid": np.arange(len(arr))})
-    # An explicit schema: inference fails on empty input.
-    return spark.createDataFrame(pdf, schema="src long, dst long, eid long")
+    return spark.createDataFrame(pa.table(
+        {"src": arr[:, 0], "dst": arr[:, 1], "eid": np.arange(len(arr))}))
 
 
 def adjacency_df(edges: DataFrame) -> DataFrame:

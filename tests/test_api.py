@@ -19,9 +19,14 @@ def _as_dict(df):
 
 class TestDecomposeApi:
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_every_variant_on_bowtie(self, sparkf, variant):
-        edges = SMALL_GRAPHS["bowtie"]
-        res = decompose(sparkf, edges, 2, variant=variant, parallelism=2)
+    @pytest.mark.parametrize("edges", [SMALL_GRAPHS["bowtie"], []],
+                             ids=["bowtie", "empty"])
+    def test_every_variant_on_bowtie(self, arrow_sparkf, edges, variant):
+        """The same table, schema included, whatever the session's Arrow
+        setting."""
+        res = decompose(arrow_sparkf, edges, 2, variant=variant, parallelism=2)
+        assert res.trussness.schema.simpleString() == (
+            "struct<src:bigint,dst:bigint,trussness:bigint>")
         assert _as_dict(res.trussness) == decompose_peeling(edges, 2)
 
     def test_unknown_variant_raises(self, sparkf):

@@ -4,12 +4,26 @@ from pathlib import Path
 
 import pytest
 
+from repro.bench import harness
+
 JOBS = Path(__file__).resolve().parents[1] / "jobs"
 sys.path.insert(0, str(JOBS))
 
 import _session  # noqa: E402
 import run_decomposition  # noqa: E402
 import tables  # noqa: E402
+
+
+def _count_calls(monkeypatch) -> list:
+    """A list that grows by one on each ``decompose`` call of the tables."""
+    calls, real = [], harness.decompose
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "decompose", counted)
+    return calls
 
 
 def _tables(spark, capsys, *argv):
@@ -21,11 +35,14 @@ def _tables(spark, capsys, *argv):
 
 
 class TestTableJobs:
-    def test_table1(self, sparkf, capsys):
+    def test_table1(self, sparkf, capsys, monkeypatch):
+        """T1 makes no Spark call, so no warm-up call either."""
+        calls = _count_calls(monkeypatch)
         host, lines = _tables(sparkf, capsys, "--tables", "1", "--scale", "0.02")
         assert host.startswith("host: ") and f"Spark {sparkf.version}" in host
         assert "|E| paper" in lines[0]
         assert len(lines) == 8  # header + separator + 6 datasets
+        assert calls == []
 
     def test_table2(self, sparkf, capsys):
         _, lines = _tables(sparkf, capsys, "--tables", "2")
@@ -34,11 +51,15 @@ class TestTableJobs:
             f"({i})" for i in range(5)  # h-support, then 4 sweeps to converge
         ]
 
-    def test_table3_tiny(self, sparkf, capsys):
+    def test_table3_tiny(self, sparkf, capsys, monkeypatch):
+        """One untimed call precedes the row's three timed cells, so the
+        first cell does not carry the session's start-up."""
+        calls = _count_calls(monkeypatch)
         _, lines = _tables(sparkf, capsys, "--tables", "3", "--datasets", "YT",
                            "--h-values", "2", "--scale", "0.05")
         assert lines[0] == "| dataset | h | Base | Paral | Paral+ |"
         assert len(lines) == 3 and lines[2].startswith("| YT | 2 |")
+        assert len(calls) == 4
 
     def test_table4_tiny(self, sparkf, capsys):
         _, lines = _tables(sparkf, capsys, "--tables", "4", "--datasets", "YT",

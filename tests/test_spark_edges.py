@@ -97,9 +97,10 @@ class TestEdgeArrayValidation:
         with pytest.raises(ValueError, match="integers"):
             edge_array(df)
 
-    def test_spark_null_ids(self, sparkf):
-        df = sparkf.createDataFrame([(1, 2), (2, None)], "u long, v long")
-        with pytest.raises(ValueError, match="integers"):
+    def test_spark_null_ids(self, arrow_sparkf):
+        df = arrow_sparkf.createDataFrame([(1, 2), (2, None)], "u long, v long")
+        with pytest.raises(ValueError, match=r"must be integers, got float64 "
+                           r"\(a Spark table with null ids reads as float64\)"):
             edge_array(df)
 
     @pytest.mark.parametrize(("rows", "schema"), [
@@ -130,10 +131,10 @@ class TestEdgeArrayValidation:
     def test_empty_list_is_the_empty_graph(self):
         assert edge_array([]).shape == (0, 2)
 
-    def test_integer_forms_agree(self, sparkf):
+    def test_integer_forms_agree(self, arrow_sparkf):
         pairs = [(2, 1), (1, 3), (3, 2), (1, 2)]
         expected = [[1, 2], [1, 3], [2, 3]]
         for form in (pairs, np.array(pairs, dtype=np.int32),
                      pd.DataFrame(pairs, columns=["u", "v"]),
-                     sparkf.createDataFrame(pairs, "u int, v int")):
+                     arrow_sparkf.createDataFrame(pairs, "u int, v int")):
             assert edge_array(form).tolist() == expected

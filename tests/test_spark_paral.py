@@ -118,13 +118,13 @@ class TestParalCorrectness:
         assert res.trussness.count() == 0
         assert res.sweeps == 0
 
-    def test_spark_input_beyond_32_bit_ids(self, sparkf):
+    def test_spark_input_beyond_32_bit_ids(self, arrow_sparkf):
         """(1, 2**32 + 5) and (2, 5) are two edges, though
         ``2**32 * src + dst`` is the same for both."""
         big = 2**32 + 5
         edges = [(1, big), (2, 5), (1, 2), (2, big), (5, big), (1, 5)]
-        raw = sparkf.createDataFrame(edges, "u long, v long")
-        res = decompose(sparkf, raw, 2, "paral", parallelism=2)
+        raw = arrow_sparkf.createDataFrame(edges, "u long, v long")
+        res = decompose(arrow_sparkf, raw, 2, "paral", parallelism=2)
         assert _as_dict(res.trussness) == decompose_peeling(edges, 2)
 
     def test_zero_support_edges_get_trussness_2(self, sparkf):
